@@ -8,7 +8,8 @@
 // Key reduction (proved in DESIGN.md §4): an induced subgraph contains some
 // DCC iff it is NOT a Gallai tree, i.e. iff one of its biconnected blocks is
 // neither a clique nor an odd cycle. Detection in r-balls therefore costs
-// one block decomposition per ball.
+// one BFS sweep per ball, plus one block decomposition for the balls that
+// are not trees, all on reused per-chunk buffers (DESIGN.md §4).
 #pragma once
 
 #include <optional>

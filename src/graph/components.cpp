@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <queue>
 
-#include "util/check.h"
-
 namespace deltacol {
 
 std::vector<std::vector<int>> ConnectedComponents::vertex_sets() const {
@@ -44,85 +42,24 @@ bool is_connected(const Graph& g) {
   return connected_components(g).count == 1;
 }
 
-namespace {
-
-// One DFS frame for the iterative lowpoint computation.
-struct Frame {
-  int vertex;
-  int parent;
-  std::size_t next_neighbor;  // index into neighbors(vertex)
-};
-
-}  // namespace
-
 BlockDecomposition block_decomposition(const Graph& g) {
-  const int n = g.num_vertices();
+  BlockScratch s;
+  enumerate_blocks(g, s);
   BlockDecomposition out;
-  out.is_articulation.assign(static_cast<std::size_t>(n), false);
-
-  std::vector<int> disc(static_cast<std::size_t>(n), -1);
-  std::vector<int> low(static_cast<std::size_t>(n), -1);
-  std::vector<Edge> edge_stack;
-  int timer = 0;
-
-  auto pop_block = [&](int u, int w) {
-    // Pop edges up to and including (u, w); their endpoints form one block.
-    std::vector<int> verts;
-    Edge e;
-    do {
-      DC_ENSURE(!edge_stack.empty(), "edge stack underflow in block pop");
-      e = edge_stack.back();
-      edge_stack.pop_back();
-      verts.push_back(e.first);
-      verts.push_back(e.second);
-    } while (!(e.first == u && e.second == w));
-    std::sort(verts.begin(), verts.end());
-    verts.erase(std::unique(verts.begin(), verts.end()), verts.end());
-    out.blocks.push_back(std::move(verts));
-  };
-
-  std::vector<Frame> stack;
-  for (int root = 0; root < n; ++root) {
-    if (disc[root] != -1) continue;
-    int root_children = 0;
-    stack.push_back({root, -1, 0});
-    disc[root] = low[root] = timer++;
-    while (!stack.empty()) {
-      Frame& f = stack.back();
-      const int u = f.vertex;
-      const auto nb = g.neighbors(u);
-      if (f.next_neighbor < nb.size()) {
-        const int w = nb[f.next_neighbor++];
-        if (disc[w] == -1) {
-          edge_stack.emplace_back(u, w);
-          disc[w] = low[w] = timer++;
-          if (u == root) ++root_children;
-          stack.push_back({w, u, 0});
-        } else if (w != f.parent && disc[w] < disc[u]) {
-          // Back edge.
-          edge_stack.emplace_back(u, w);
-          low[u] = std::min(low[u], disc[w]);
-        }
-      } else {
-        stack.pop_back();
-        if (!stack.empty()) {
-          const int p = stack.back().vertex;
-          low[p] = std::min(low[p], low[u]);
-          if (low[u] >= disc[p]) {
-            // p separates u's subtree: close the block rooted at edge (p,u).
-            if (p != root || root_children > 1 ||
-                (p == root && low[u] >= disc[p])) {
-              // Articulation flag handled below; block always closes here.
-            }
-            pop_block(p, u);
-            if (p != root) out.is_articulation[p] = true;
-          }
-        }
-      }
-    }
-    if (root_children > 1) out.is_articulation[root] = true;
+  out.blocks.reserve(static_cast<std::size_t>(s.num_blocks()));
+  // Cut vertices are exactly the vertices lying in two or more blocks.
+  std::vector<int> num_blocks_of(static_cast<std::size_t>(g.num_vertices()), 0);
+  for (int b = 0; b < s.num_blocks(); ++b) {
+    const auto block = s.block(b);
+    auto& sorted = out.blocks.emplace_back(block.begin(), block.end());
+    std::sort(sorted.begin(), sorted.end());
+    for (int v : block) ++num_blocks_of[static_cast<std::size_t>(v)];
   }
-  DC_ENSURE(edge_stack.empty(), "unclosed block at end of DFS");
+  out.is_articulation.assign(static_cast<std::size_t>(g.num_vertices()), false);
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    out.is_articulation[static_cast<std::size_t>(v)] =
+        num_blocks_of[static_cast<std::size_t>(v)] >= 2;
+  }
   return out;
 }
 

@@ -1,7 +1,6 @@
 #include "graph/structure.h"
 
 #include "graph/components.h"
-#include "graph/ops.h"
 
 namespace deltacol {
 
@@ -44,19 +43,11 @@ bool is_nice(const Graph& g) {
 }
 
 bool is_gallai_tree(const Graph& g) {
-  const auto blocks = block_decomposition(g).blocks;
-  for (const auto& block : blocks) {
-    const auto sub = induced_subgraph(g, block);
-    if (!is_clique(sub.graph) && !is_odd_cycle(sub.graph)) return false;
-  }
-  return true;
-}
-
-bool induces_clique(const Graph& g, std::span<const int> vertices) {
-  for (std::size_t i = 0; i < vertices.size(); ++i) {
-    for (std::size_t j = i + 1; j < vertices.size(); ++j) {
-      if (!g.has_edge(vertices[i], vertices[j])) return false;
-    }
+  BlockScratch blocks;
+  enumerate_blocks(g, blocks);
+  std::vector<char> mark(static_cast<std::size_t>(g.num_vertices()), 0);
+  for (int b = 0; b < blocks.num_blocks(); ++b) {
+    if (!is_gallai_block(g, blocks.block(b), mark)) return false;
   }
   return true;
 }

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "graph/graph.h"
 
@@ -23,7 +24,44 @@ bool is_nice(const Graph& g);
 // NOT degree-choosable.
 bool is_gallai_tree(const Graph& g);
 
-// Does the vertex subset induce a clique in g?
-bool induces_clique(const Graph& g, std::span<const int> vertices);
+// Is `block`, the vertex set of one block of g (as enumerate_blocks or
+// block_decomposition emit it), a clique or an odd cycle? Decided in place
+// from in-block degrees, with no induced subgraph: a block is connected, so
+// it is a clique iff every member has |B| - 1 in-block neighbours, and an
+// odd cycle iff every member has exactly 2 and |B| is odd. `mark` is caller
+// scratch with a zero entry for every vertex of g; it is all zero again on
+// return. `Adjacency` is a Graph or anything with the same neighbors(v).
+template <typename Adjacency>
+bool is_gallai_block(const Adjacency& g, std::span<const int> block,
+                     std::vector<char>& mark) {
+  const int size = static_cast<int>(block.size());
+  if (size <= 3) return true;  // a bridge (K2) or a triangle (K3)
+  for (int v : block) mark[static_cast<std::size_t>(v)] = 1;
+  bool clique = true;
+  bool odd_cycle = size % 2 == 1;
+  for (int v : block) {
+    int in_block_degree = 0;
+    for (int w : g.neighbors(v)) {
+      in_block_degree += mark[static_cast<std::size_t>(w)];
+    }
+    clique = clique && in_block_degree == size - 1;
+    odd_cycle = odd_cycle && in_block_degree == 2;
+    if (!clique && !odd_cycle) break;
+  }
+  for (int v : block) mark[static_cast<std::size_t>(v)] = 0;
+  return clique || odd_cycle;
+}
+
+// Does the vertex subset induce a clique in g? `Adjacency` is a Graph or
+// anything with the same has_edge(u, v).
+template <typename Adjacency>
+bool induces_clique(const Adjacency& g, std::span<const int> vertices) {
+  for (std::size_t i = 0; i < vertices.size(); ++i) {
+    for (std::size_t j = i + 1; j < vertices.size(); ++j) {
+      if (!g.has_edge(vertices[i], vertices[j])) return false;
+    }
+  }
+  return true;
+}
 
 }  // namespace deltacol
