@@ -86,12 +86,21 @@ constexpr Golden kGoldens[] = {
     {"sparse-400-6", "large", 0x03ffe0f54802b502ULL},
     {"3-components", "large", 0xb64d8f71d8ae215aULL},
     {"triangle-cactus", "large", 0x92dc5e087f2c9a63ULL},
+    // kBaselineND rows, captured later (same seed, serial run) from the tree
+    // before the batch-parallel packing engine was deleted, so they pin the
+    // pipeline's deterministic ruling set to the historical output.
+    {"regular-500-6", "ps", 0x1d1777903b0716ddULL},
+    {"gallai-400-4", "ps", 0x6b55bef053173e69ULL},
+    {"sparse-400-6", "ps", 0x82086afb7503dd9fULL},
+    {"3-components", "ps", 0x7b71104044c77869ULL},
+    {"triangle-cactus", "ps", 0xaa13247b7810a6c0ULL},
 };
 
 Algorithm alg_from_tag(const std::string& tag) {
   if (tag == "det") return Algorithm::kDeterministic;
   if (tag == "small") return Algorithm::kRandomizedSmall;
   if (tag == "large") return Algorithm::kRandomizedLarge;
+  if (tag == "ps") return Algorithm::kBaselineND;
   return Algorithm::kBaselineGreedyBrooks;
 }
 
