@@ -7,7 +7,7 @@
 //    must be 1 and `rounds` constant on every row — the golden contract the
 //    determinism suite enforces per commit, re-asserted here on the bench
 //    workload). Wall-clock differences between rows are placement effects
-//    only; like E12/E13/E14, speedups need multi-core hardware.
+//    only; like E12/E13, speedups need multi-core hardware.
 //
 //  * E15_MessageVolume — the CONGEST-style metric a distributed transport
 //    would pay: Luby's MIS on the message-passing engine over a

@@ -27,7 +27,7 @@ void usage(std::ostream& out) {
   out << "usage: deltacol_cli <edge-list> [--alg small|large|det|ps|naive]"
          " [--seed S] [--threads T] [--shards S] [--congest-bits B]"
          " [--partition contiguous|cluster] [--mode deterministic|fast]"
-         " [--exchange replicated|owner] [--paper-constants] [--dot out.dot]\n"
+         " [--paper-constants] [--dot out.dot]\n"
          "       [--transport inproc|tcp] [--rank R --world W"
          " (--endpoints host:port,... | --port-base P)]\n"
          "  --threads T   worker threads for the parallel runtime (0 = all\n"
@@ -51,13 +51,6 @@ void usage(std::ostream& out) {
          "                merge/claim ordering — still a valid\n"
          "                Delta-coloring, but only the validity contract is\n"
          "                guaranteed across shapes\n"
-         "  --exchange replicated|owner\n"
-         "                distributed exchange policy carried in the options\n"
-         "                (runtime/execution_mode.h). delta_color's pipeline\n"
-         "                uses shards for placement only — no transport is\n"
-         "                built — so this is configuration parity with\n"
-         "                deltacol_mpi_like, where the flag selects the\n"
-         "                owner-routed wire discipline\n"
          "  --transport tcp\n"
          "                join a multi-process cluster as one rank (flags or\n"
          "                DELTACOL_RANK/DELTACOL_WORLD/DELTACOL_ENDPOINTS\n"
@@ -113,11 +106,6 @@ int main(int argc, char** argv) {
       }
     } else if (a == "--mode" && i + 1 < argc) {
       if (!parse_execution_mode(argv[++i], &opt.mode)) {
-        usage(std::cerr);
-        return 2;
-      }
-    } else if (a == "--exchange" && i + 1 < argc) {
-      if (!parse_exchange_policy(argv[++i], &opt.exchange)) {
         usage(std::cerr);
         return 2;
       }

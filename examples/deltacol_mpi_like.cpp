@@ -334,7 +334,6 @@ int main(int argc, char** argv) {
       opt.congest_bits = congest_bits;
       opt.partition = strategy;
       opt.mode = mode;
-      opt.exchange = exchange;  // placement-only here; carried for parity
       const DeltaColoringResult res = delta_color(g, alg, opt);
       validate_delta_coloring(g, res.coloring, res.delta);
       std::vector<int> colors(res.coloring.begin(), res.coloring.end());

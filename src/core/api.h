@@ -130,26 +130,12 @@ struct DeltaColoringOptions {
   /// kFast: the runtime drops replay/merge ordering wherever the algorithms
   /// only need *a* valid outcome — atomics-based frontier claiming,
   /// merge-on-arrival inboxes without the stable sender sort, first-come
-  /// work claiming in the packing engine and component fan-outs, fused
-  /// merge+receive barriers. Only VALIDITY is then guaranteed: a proper
-  /// Delta-coloring, the same color-count bound, rounds within the
-  /// deterministic mode's bound, CONGEST charges from the same order-free
-  /// max fold (enforced by tests/test_fast_mode.cpp under schedule
-  /// perturbation). CLI: --mode fast.
+  /// work claiming in the component fan-outs, fused merge+receive barriers.
+  /// Only VALIDITY is then guaranteed: a proper Delta-coloring, the same
+  /// color-count bound, rounds within the deterministic mode's bound,
+  /// CONGEST charges from the same order-free max fold (enforced by
+  /// tests/test_fast_mode.cpp under schedule perturbation). CLI: --mode fast.
   ExecutionMode mode = ExecutionMode::kDeterministic;
-
-  /// How a distributed run moves each round's envelopes between ranks
-  /// (runtime/execution_mode.h): kReplicated (default) all-gathers full
-  /// mailbox rows and replays every shard's merge on every rank;
-  /// kOwnerRouted ships only cross-shard slots point-to-point and merges
-  /// rank-locally over owned-only state, reassembling results with an
-  /// end-of-run gather. Results are bit-identical either way (DESIGN.md §6,
-  /// "Owner-compute"). delta_color's in-process pipeline uses shards for
-  /// placement only — no transport is ever built — so this knob changes
-  /// nothing there; it is carried here so launchers configure one options
-  /// struct and apply the policy to the ShardRuntime their message-passing
-  /// steps run on (examples/deltacol_mpi_like.cpp). CLI: --exchange owner.
-  ExchangePolicy exchange = ExchangePolicy::kReplicated;
 
   /// Schedule-perturbation salt, a chaos-testing knob (0 = off, the
   /// default). A nonzero salt makes the run's ThreadPool jitter its range

@@ -98,19 +98,6 @@ class BfsScratch {
     return static_cast<int>(level_offsets_.size()) - 1;
   }
 
-  /// Conflict-ball helper: appends to `out` the value `local_id[v]` of every
-  /// visited vertex v whose entry is >= 0, in visit order. `local_id` is any
-  /// caller-owned dense table over the queried graph's vertices (entries < 0
-  /// mean "not a member"). This is how the ruling-set packing engine
-  /// (mis/packing.h) turns a truncated ball query into a candidate's
-  /// conflict set without materializing a power graph.
-  void members_into(std::span<const int> local_id, std::vector<int>& out) const {
-    for (int v : order()) {
-      const int j = local_id[static_cast<std::size_t>(v)];
-      if (j >= 0) out.push_back(j);
-    }
-  }
-
   /// The vertices at distance exactly l, as a slice of order().
   std::span<const int> level(int l) const {
     const auto lo = static_cast<std::size_t>(

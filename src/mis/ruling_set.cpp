@@ -6,7 +6,6 @@
 #include "graph/frontier_bfs.h"
 #include "graph/traversal.h"
 #include "mis/mis.h"
-#include "mis/packing.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
 #include "util/math_util.h"
@@ -101,16 +100,16 @@ std::vector<int> ruling_set(const Graph& g, const std::vector<int>& subset,
     DC_REQUIRE(0 <= s && s < g.num_vertices(), "subset vertex out of range");
   }
   if (subset.empty()) return {};
-  if (alpha == 1) return subset;  // every vertex may be chosen
+  // Distance >= 1: every distinct member may be chosen, sorted — returning
+  // `subset` verbatim would keep duplicates, which are at distance 0.
+  if (alpha == 1) return greedy_alpha_packing(g, subset, alpha);
 
   const int per_step = alpha - 1;
   if (engine == RulingSetEngine::kDeterministic) {
-    // Greedy distance-alpha packing in ID order, resolved by the
-    // batch-parallel engine (mis/packing.h — bit-identical to the serial
-    // greedy for every thread count); covering radius alpha-1 follows
-    // because a skipped vertex was within alpha-1 of an earlier pick.
-    // Charged at the AGLP bitwise price (see header).
-    std::vector<int> out = greedy_alpha_packing(g, subset, alpha, pool, mode);
+    // Greedy distance-alpha packing in ID order; covering radius alpha-1
+    // follows because a skipped vertex was within alpha-1 of an earlier
+    // pick. Charged at the AGLP bitwise price (see header).
+    std::vector<int> out = greedy_alpha_packing(g, subset, alpha);
     const int bits =
         subset.size() <= 1
             ? 1
@@ -151,6 +150,45 @@ std::vector<int> ruling_set(const Graph& g, const std::vector<int>& subset,
   for (int i = 0; i < static_cast<int>(subset.size()); ++i) {
     if (in_set[static_cast<std::size_t>(i)]) {
       out.push_back(subset[static_cast<std::size_t>(i)]);
+    }
+  }
+  return out;
+}
+
+std::vector<int> greedy_alpha_packing(const Graph& g,
+                                      const std::vector<int>& subset,
+                                      int alpha) {
+  DC_REQUIRE(alpha >= 1, "alpha must be >= 1");
+  for (int s : subset) {
+    DC_REQUIRE(0 <= s && s < g.num_vertices(), "subset vertex out of range");
+  }
+  std::vector<int> sorted = subset;
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  if (alpha == 1) return sorted;
+  std::vector<int> dist_to_chosen(static_cast<std::size_t>(g.num_vertices()),
+                                  -1);
+  std::vector<int> out;
+  std::vector<int> q;  // relaxation queue, reused across picks
+  for (int v : sorted) {
+    if (dist_to_chosen[static_cast<std::size_t>(v)] != -1) continue;
+    out.push_back(v);
+    // Truncated BFS marking everything within alpha-1 of v. Labels from
+    // earlier picks must be RELAXED when v is closer, or the frontier
+    // would be cut early and a too-close vertex could be picked later.
+    q.assign(1, v);
+    dist_to_chosen[static_cast<std::size_t>(v)] = 0;
+    for (std::size_t head = 0; head < q.size(); ++head) {
+      const int u = q[head];
+      if (dist_to_chosen[static_cast<std::size_t>(u)] >= alpha - 1) continue;
+      const int next = dist_to_chosen[static_cast<std::size_t>(u)] + 1;
+      for (int w : g.neighbors(u)) {
+        auto& dw = dist_to_chosen[static_cast<std::size_t>(w)];
+        if (dw == -1 || next < dw) {
+          dw = next;
+          q.push_back(w);
+        }
+      }
     }
   }
   return out;

@@ -4,13 +4,15 @@
 // (packing) dist_G(u, v) >= alpha for distinct u, v in M, and (covering)
 // dist_G(s, M) <= beta for every s in S.
 //
-// We realize every Lemma 20 variant through one mechanism: an MIS of the
-// auxiliary graph on S with edges between vertices at distance <= alpha-1 in
-// G. Maximality makes beta = alpha-1, which dominates (is stronger than) all
-// the beta values quoted in Lemma 20, so any caller written against the
-// lemma's contract remains correct. One auxiliary-graph round costs alpha-1
-// rounds of G (simulating the power graph), which the ledger charges.
-// See DESIGN.md "Substitutions" for the round-complexity caveat.
+// The deterministic default is a greedy distance-alpha packing computed
+// directly in G (greedy_alpha_packing below). The other engines compute an
+// MIS of the auxiliary graph on S with edges between vertices at distance
+// <= alpha-1 in G; one auxiliary-graph round costs alpha-1 rounds of G
+// (simulating the power graph), which the ledger charges. The greedy and the
+// MIS engines both give beta = alpha-1, which dominates (is stronger than)
+// all the beta values quoted in Lemma 20, so any caller written against the
+// lemma's contract remains correct. See DESIGN.md "Substitutions" for the
+// round-complexity caveat.
 #pragma once
 
 #include <string_view>
@@ -29,7 +31,7 @@ enum class RulingSetEngine {
   // Deterministic default. Rounds are charged as the bitwise ID
   // divide-and-conquer [AGLP89-style] algorithm would cost — (alpha-1) *
   // ceil(log2 |subset|) — while the set itself is computed by greedy
-  // distance-alpha packing in ID order (batch-parallel, see mis/packing.h),
+  // distance-alpha packing in ID order (greedy_alpha_packing, serial),
   // which satisfies a strictly stronger contract (covering alpha-1 instead
   // of (alpha-1) log n) without materializing the power graph (that
   // materialization is quadratic once alpha exceeds the graph diameter).
@@ -48,18 +50,28 @@ enum class RulingSetEngine {
 };
 
 // Ruling set of `subset` (pass all vertices for a ruling set of G). rng may
-// be null for the deterministic engine. `mode` kFast forwards to the fast
-// scheduling paths of the underlying engines (packing's first-come ball
-// claiming, Luby's dynamically chunked scans) — the set returned satisfies
-// the same (alpha, beta) contract either way.
+// be null for the deterministic engine. `pool` fans out the auxiliary-graph
+// engines' power-graph construction and Luby rounds; `mode` kFast forwards
+// to Luby's dynamically chunked scans — the set returned satisfies the same
+// (alpha, beta) contract either way. kDeterministic is serial and ignores
+// both. With alpha = 1 every engine returns the sorted distinct subset.
 std::vector<int> ruling_set(const Graph& g, const std::vector<int>& subset,
                             int alpha, RulingSetEngine engine, Rng* rng,
                             RoundLedger& ledger, std::string_view phase,
                             ThreadPool* pool = nullptr,
                             ExecutionMode mode = ExecutionMode::kDeterministic);
 
+// Greedy distance-alpha packing of `subset` in ascending id order: the
+// returned vertices (ascending, duplicates in `subset` collapsed) are
+// pairwise at distance >= alpha in G, and every skipped subset member is
+// within alpha-1 of an earlier (smaller-id) pick. One truncated relaxation
+// BFS per pick; O(n) scratch. The set behind kDeterministic.
+std::vector<int> greedy_alpha_packing(const Graph& g,
+                                      const std::vector<int>& subset,
+                                      int alpha);
+
 // Covering radius in auxiliary-graph hops guaranteed by each engine: the
-// MIS-based engines give 1 (maximality); the bitwise deterministic engine
+// greedy packing and the MIS-based engines give 1; the bitwise deterministic engine
 // gives ceil(log2 |subset|) + 1. In G-hops multiply by (alpha - 1).
 int ruling_set_cover_radius(int subset_size, RulingSetEngine engine);
 

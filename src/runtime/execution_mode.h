@@ -13,11 +13,11 @@
 /// **kFast** drops those orderings wherever the algorithms only need *a*
 /// valid outcome, not *the* serial one: atomics-based first-claim frontier
 /// expansion, merge-on-arrival inboxes with no stable sort, first-come work
-/// claiming in the packing engine and the component fan-outs, and fused
-/// merge+receive barriers. The contract shrinks to VALIDITY — a proper
-/// Delta-coloring within the proven round bounds, CONGEST charges computed
-/// by the same order-free max fold — and is pinned by the cross-validation
-/// harness (tests/test_fast_mode.cpp) under randomized chunking, injected
+/// claiming in the component fan-outs, and fused merge+receive barriers.
+/// The contract shrinks to VALIDITY — a proper Delta-coloring within the
+/// proven round bounds, CONGEST charges computed by the same order-free max
+/// fold — and is pinned by the cross-validation harness
+/// (tests/test_fast_mode.cpp) under randomized chunking, injected
 /// stalls and adversarial delivery orders. Deterministic-mode behaviour is
 /// untouched by construction (the fast paths are opt-in branches), which the
 /// pre-PR golden regression test (tests/test_golden_determinism.cpp) pins
