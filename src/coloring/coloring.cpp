@@ -1,6 +1,8 @@
 #include "coloring/coloring.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <sstream>
 
 #include "util/check.h"
@@ -82,24 +84,43 @@ void validate_delta_coloring(const Graph& g, const Coloring& c, int delta) {
 
 std::vector<Color> free_colors(const Graph& g, const Coloring& c, int v,
                                int palette_size) {
-  std::vector<bool> used(static_cast<std::size_t>(palette_size), false);
+  DC_REQUIRE(palette_size >= 0, "palette size must be non-negative");
+  // The result doubles as the used-flag array and is then compacted in
+  // place: out[x] is read before any write can reach slot x (k <= x).
+  std::vector<Color> out(static_cast<std::size_t>(palette_size), 0);
   for (int u : g.neighbors(v)) {
-    if (c[u] != kUncolored && c[u] < palette_size) {
-      used[static_cast<std::size_t>(c[u])] = true;
-    }
+    const Color x = c[static_cast<std::size_t>(u)];
+    if (0 <= x && x < palette_size) out[static_cast<std::size_t>(x)] = 1;
   }
-  std::vector<Color> out;
+  std::size_t k = 0;
   for (int x = 0; x < palette_size; ++x) {
-    if (!used[static_cast<std::size_t>(x)]) out.push_back(x);
+    if (out[static_cast<std::size_t>(x)] == 0) out[k++] = x;
   }
+  out.resize(k);
   return out;
 }
 
 std::optional<Color> first_free_color(const Graph& g, const Coloring& c, int v,
                                       int palette_size) {
-  const auto fc = free_colors(g, c, v, palette_size);
-  if (fc.empty()) return std::nullopt;
-  return fc.front();
+  // deg(v) neighbors block at most deg(v) colors, so the smallest free color,
+  // if any, is below limit. Scan candidates in 64-color windows, one
+  // bitmask of the neighbors' colors per window.
+  const auto nb = g.neighbors(v);
+  const std::int64_t limit = std::min<std::int64_t>(
+      palette_size, static_cast<std::int64_t>(nb.size()) + 1);
+  for (std::int64_t base = 0; base < limit; base += 64) {
+    std::uint64_t used = 0;
+    for (int u : nb) {
+      const std::int64_t x = c[static_cast<std::size_t>(u)] - base;
+      if (0 <= x && x < 64) used |= std::uint64_t{1} << x;
+    }
+    if (used != ~std::uint64_t{0}) {
+      const std::int64_t x = base + std::countr_one(used);
+      if (x >= limit) break;
+      return static_cast<Color>(x);
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace deltacol

@@ -1,7 +1,10 @@
 #include "coloring/linial.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "runtime/thread_pool.h"
 #include "util/check.h"
@@ -10,23 +13,6 @@
 namespace deltacol {
 
 namespace {
-
-// Evaluate the base-q digit polynomial of `color` at point x, over GF(q).
-// p(x) = sum_i digit_i * x^i mod q.
-int eval_poly(std::uint64_t color, std::uint64_t q, int degree_bound,
-              std::uint64_t x) {
-  // Horner from the highest digit.
-  std::uint64_t digits[64];
-  for (int i = 0; i < degree_bound; ++i) {
-    digits[i] = color % q;
-    color /= q;
-  }
-  std::uint64_t acc = 0;
-  for (int i = degree_bound - 1; i >= 0; --i) {
-    acc = (acc * x + digits[i]) % q;
-  }
-  return static_cast<int>(acc);
-}
 
 // Choose (q, d) for reducing m colors: d digits over GF(q) must encode m
 // colors (q^d >= m) and q > Delta*(d-1) must leave a free evaluation point.
@@ -66,40 +52,61 @@ LinialResult linial_coloring(const Graph& g, RoundLedger& ledger,
   for (int v = 0; v < n; ++v) res.coloring[static_cast<std::size_t>(v)] = v;
   std::uint64_t m = std::max<std::uint64_t>(2, static_cast<std::uint64_t>(n));
 
+  Coloring next(static_cast<std::size_t>(n));
+  // digits[v * d + i] is digit i of v's current color in base q.
+  std::vector<std::uint16_t> digits;
   for (;;) {
     const Params p = choose_params(m, delta);
     const std::uint64_t new_m = p.q * p.q;
     if (new_m >= m) break;  // reached the O(Delta^2) fixpoint
+    // q^2 < m <= INT_MAX gives q < 46341: digits fit in 16 bits, and every
+    // Horner step acc * x + digit <= (q-1)^2 + (q-1) < m stays exact in 32.
+    DC_ENSURE(new_m < m && m <= static_cast<std::uint64_t>(INT_MAX),
+              "Linial round needs q * q < m <= INT_MAX");
+    const auto q = static_cast<std::uint32_t>(p.q);
+    const int d = p.d;
+    digits.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(d));
+    pooled_for(pool, 0, n, [&](int v) {
+      auto color =
+          static_cast<std::uint32_t>(res.coloring[static_cast<std::size_t>(v)]);
+      std::uint16_t* dv = digits.data() + static_cast<std::size_t>(v) * d;
+      for (int i = 0; i < d; ++i) {
+        dv[i] = static_cast<std::uint16_t>(color % q);
+        color /= q;
+      }
+    });
+    // p_v(x) = sum_i digit_i(v) * x^i mod q, by Horner from the top digit.
+    const auto eval = [&](int v, std::uint32_t x) {
+      const std::uint16_t* dv = digits.data() + static_cast<std::size_t>(v) * d;
+      std::uint32_t acc = dv[d - 1];
+      for (int i = d - 2; i >= 0; --i) acc = (acc * x + dv[i]) % q;
+      return acc;
+    };
     // One synchronous round: nodes exchange current colors, then each picks
     // an evaluation point avoiding all neighbors' polynomials. Each node
     // reads the previous coloring and writes next[v]: a parallel-for.
-    Coloring next(static_cast<std::size_t>(n), kUncolored);
     pooled_for(pool, 0, n, [&](int v) {
-      const std::uint64_t cv =
-          static_cast<std::uint64_t>(res.coloring[static_cast<std::size_t>(v)]);
-      int chosen_x = -1;
-      for (std::uint64_t x = 0; x < p.q && chosen_x < 0; ++x) {
+      const Color cv = res.coloring[static_cast<std::size_t>(v)];
+      for (std::uint32_t x = 0; x < q; ++x) {
+        const std::uint32_t pv = eval(v, x);
         bool ok = true;
-        const int pv = eval_poly(cv, p.q, p.d, x);
         for (int u : g.neighbors(v)) {
-          const std::uint64_t cu = static_cast<std::uint64_t>(
-              res.coloring[static_cast<std::size_t>(u)]);
-          if (cu == cv) continue;  // cannot happen in a proper coloring
-          if (eval_poly(cu, p.q, p.d, x) == pv) {
+          // Equal colors cannot happen in a proper coloring.
+          if (res.coloring[static_cast<std::size_t>(u)] == cv) continue;
+          if (eval(u, x) == pv) {
             ok = false;
             break;
           }
         }
-        if (ok) chosen_x = static_cast<int>(x);
+        if (ok) {
+          next[static_cast<std::size_t>(v)] = static_cast<Color>(x * q + pv);
+          return;
+        }
       }
-      DC_ENSURE(chosen_x >= 0,
+      DC_ENSURE(false,
                 "Linial step found no valid evaluation point (q too small?)");
-      next[static_cast<std::size_t>(v)] = static_cast<int>(
-          static_cast<std::uint64_t>(chosen_x) * p.q +
-          static_cast<std::uint64_t>(
-              eval_poly(cv, p.q, p.d, static_cast<std::uint64_t>(chosen_x))));
     });
-    res.coloring = std::move(next);
+    res.coloring.swap(next);
     m = new_m;
     ++res.rounds;
     ledger.charge(1, "linial");

@@ -10,7 +10,9 @@
 // < d over GF(q) (its base-q digits). With q > Delta*(d-1), every vertex can
 // pick an evaluation point x where it differs from all neighbors, giving a
 // proper q^2-coloring (pair (x, p(x))) in ONE communication round. Iterating
-// reaches O(Delta^2) colors in O(log* m) rounds.
+// reaches O(Delta^2) colors in O(log* m) rounds. Each round extracts every
+// vertex's digits once into a flat 16-bit table and evaluates by Horner in
+// 32-bit arithmetic, exact because every executed round has q^2 < m <= INT_MAX.
 #pragma once
 
 #include "coloring/coloring.h"

@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.h"
 
@@ -36,14 +37,32 @@ Graph Graph::from_edges(int n, std::span<const Edge> edges) {
     auto nb = g.adj_.begin() + g.offsets_[v];
     std::sort(nb, g.adj_.begin() + g.offsets_[v + 1]);
   }
-  g.max_degree_ = 0;
-  g.min_degree_ = n > 0 ? n : 0;
-  for (int v = 0; v < n; ++v) {
-    g.max_degree_ = std::max(g.max_degree_, g.degree(v));
-    g.min_degree_ = std::min(g.min_degree_, g.degree(v));
-  }
-  if (n == 0) g.min_degree_ = 0;
+  g.set_degree_bounds();
   return g;
+}
+
+Graph Graph::from_sorted_csr(std::vector<int> offsets, std::vector<int> adj) {
+  DC_REQUIRE(!offsets.empty() && offsets.front() == 0 &&
+                 static_cast<std::size_t>(offsets.back()) == adj.size(),
+             "CSR offsets must run from 0 to the adjacency size");
+  Graph g;
+  g.offsets_ = std::move(offsets);
+  g.adj_ = std::move(adj);
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    DC_REQUIRE(g.degree(v) >= 0, "CSR offsets must be non-decreasing");
+  }
+  g.set_degree_bounds();
+  return g;
+}
+
+void Graph::set_degree_bounds() {
+  const int n = num_vertices();
+  max_degree_ = 0;
+  min_degree_ = n > 0 ? n : 0;
+  for (int v = 0; v < n; ++v) {
+    max_degree_ = std::max(max_degree_, degree(v));
+    min_degree_ = std::min(min_degree_, degree(v));
+  }
 }
 
 bool Graph::has_edge(int u, int v) const {

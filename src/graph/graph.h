@@ -4,7 +4,9 @@
 /// Vertices are dense integers [0, n). Adjacency lists are sorted, which makes
 /// has_edge O(log deg) and set operations over neighborhoods cheap. Graphs in
 /// this library are values: algorithms never mutate a Graph, they build new
-/// ones (e.g. induced subgraphs) via GraphBuilder.
+/// ones — from an edge list (from_edges, GraphBuilder) or, when the rows are
+/// already sorted (induced subgraphs), by adopting the CSR arrays directly
+/// (from_sorted_csr).
 #pragma once
 
 #include <cstdint>
@@ -29,6 +31,12 @@ class Graph {
     return from_edges(n, std::span<const Edge>(edges));
   }
 
+  /// Adopts CSR arrays as they are: row v is adj[offsets[v], offsets[v+1]).
+  /// The caller guarantees a simple undirected graph with strictly
+  /// increasing rows (what from_edges would build); only the offsets are
+  /// checked.
+  static Graph from_sorted_csr(std::vector<int> offsets, std::vector<int> adj);
+
   int num_vertices() const { return static_cast<int>(offsets_.size()) - 1; }
   std::int64_t num_edges() const { return static_cast<std::int64_t>(adj_.size()) / 2; }
 
@@ -52,6 +60,8 @@ class Graph {
   std::vector<Edge> edge_list() const;
 
  private:
+  void set_degree_bounds();
+
   std::vector<int> offsets_{0};
   std::vector<int> adj_;
   int max_degree_ = 0;

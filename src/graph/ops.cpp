@@ -1,6 +1,7 @@
 #include "graph/ops.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "graph/frontier_bfs.h"
 #include "runtime/thread_pool.h"
@@ -11,25 +12,35 @@ namespace deltacol {
 Subgraph induced_subgraph(const Graph& g, std::span<const int> vertices) {
   Subgraph out;
   out.to_parent.assign(vertices.begin(), vertices.end());
-  std::sort(out.to_parent.begin(), out.to_parent.end());
+  if (!std::is_sorted(out.to_parent.begin(), out.to_parent.end())) {
+    std::sort(out.to_parent.begin(), out.to_parent.end());
+  }
   out.to_parent.erase(
       std::unique(out.to_parent.begin(), out.to_parent.end()),
       out.to_parent.end());
+  const int k = static_cast<int>(out.to_parent.size());
   out.from_parent.assign(static_cast<std::size_t>(g.num_vertices()), -1);
-  for (int i = 0; i < static_cast<int>(out.to_parent.size()); ++i) {
+  std::size_t parent_arcs = 0;
+  for (int i = 0; i < k; ++i) {
     const int p = out.to_parent[static_cast<std::size_t>(i)];
     DC_REQUIRE(0 <= p && p < g.num_vertices(), "subgraph vertex out of range");
     out.from_parent[static_cast<std::size_t>(p)] = i;
+    parent_arcs += static_cast<std::size_t>(g.degree(p));
   }
-  std::vector<Edge> edges;
-  for (int i = 0; i < static_cast<int>(out.to_parent.size()); ++i) {
-    const int p = out.to_parent[static_cast<std::size_t>(i)];
-    for (int w : g.neighbors(p)) {
+  // to_parent is sorted, so from_parent is increasing on it: each parent row
+  // (sorted) maps to a sorted row of kept neighbors, and the CSR is built
+  // in one pass with no edge list and no sort.
+  std::vector<int> offsets(static_cast<std::size_t>(k) + 1, 0);
+  std::vector<int> adj;
+  adj.reserve(parent_arcs);
+  for (int i = 0; i < k; ++i) {
+    for (int w : g.neighbors(out.to_parent[static_cast<std::size_t>(i)])) {
       const int j = out.from_parent[static_cast<std::size_t>(w)];
-      if (j > i) edges.emplace_back(i, j);
+      if (j >= 0) adj.push_back(j);
     }
+    offsets[static_cast<std::size_t>(i) + 1] = static_cast<int>(adj.size());
   }
-  out.graph = Graph::from_edges(static_cast<int>(out.to_parent.size()), edges);
+  out.graph = Graph::from_sorted_csr(std::move(offsets), std::move(adj));
   return out;
 }
 

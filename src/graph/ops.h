@@ -20,6 +20,9 @@ struct Subgraph {
   std::vector<int> from_parent;  // parent id -> subgraph id, or -1
 };
 
+// The subgraph induced by `vertices` (any order, duplicates ignored; each
+// must be in [0, n)). Subgraph ids follow the sorted parent ids, and the CSR
+// is built straight from the parent's sorted rows.
 Subgraph induced_subgraph(const Graph& g, std::span<const int> vertices);
 inline Subgraph induced_subgraph(const Graph& g, const std::vector<int>& v) {
   return induced_subgraph(g, std::span<const int>(v));

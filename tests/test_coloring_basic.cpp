@@ -40,6 +40,36 @@ TEST(Coloring, FreeColors) {
   EXPECT_EQ(fc, (std::vector<Color>{2, 3}));
   EXPECT_EQ(first_free_color(g, c, 0, 4), 2);
   EXPECT_EQ(first_free_color(g, c, 0, 2), std::nullopt);
+
+  // Only colors in [0, palette_size) count as used: negative colors other
+  // than kUncolored, and colors past the palette, block nothing.
+  const Graph s5 = star_graph(5);
+  const Coloring odd{kUncolored, -2, 1, -7, 9, 0};
+  EXPECT_EQ(free_colors(s5, odd, 0, 4), (std::vector<Color>{2, 3}));
+  EXPECT_EQ(first_free_color(s5, odd, 0, 4), 2);
+  EXPECT_EQ(free_colors(s5, odd, 0, 2), std::vector<Color>{});
+  EXPECT_EQ(first_free_color(s5, odd, 0, 2), std::nullopt);
+  EXPECT_EQ(free_colors(s5, odd, 0, 0), std::vector<Color>{});
+  EXPECT_EQ(first_free_color(s5, odd, 0, 0), std::nullopt);
+}
+
+TEST(Coloring, FirstFreeColorPastOneWord) {
+  // A vertex of degree 130 whose neighbors block colors 0..129 except 70
+  // and 128: the scan must cross 64-color windows.
+  const Graph g = star_graph(130);
+  Coloring c(131, kUncolored);
+  for (int i = 1; i <= 130; ++i) c[static_cast<std::size_t>(i)] = i - 1;
+  c[71] = 129;   // frees 70, blocks 129 twice
+  c[129] = 500;  // frees 128
+  EXPECT_EQ(first_free_color(g, c, 0, 200), 70);
+  EXPECT_EQ(first_free_color(g, c, 0, 70), std::nullopt);
+  c[129] = 128;
+  c[71] = 70;
+  EXPECT_EQ(first_free_color(g, c, 0, 200), 130);
+  EXPECT_EQ(first_free_color(g, c, 0, 130), std::nullopt);
+  EXPECT_EQ(first_free_color(g, c, 0, 131), 130);
+  const auto fc = free_colors(g, c, 0, 133);
+  EXPECT_EQ(fc, (std::vector<Color>{130, 131, 132}));
 }
 
 TEST(Coloring, RespectsLists) {

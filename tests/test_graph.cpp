@@ -32,6 +32,26 @@ TEST(Graph, RejectsSelfLoopsAndOutOfRange) {
                ContractViolation);
 }
 
+TEST(Graph, FromSortedCsrAdoptsRows) {
+  // The path 0 - 1 - 2 plus an isolated vertex 3.
+  const Graph g = Graph::from_sorted_csr({0, 1, 3, 4, 4}, {1, 0, 2, 1});
+  const Graph want = Graph::from_edges(4, std::vector<Edge>{{0, 1}, {1, 2}});
+  EXPECT_EQ(g.num_vertices(), 4);
+  EXPECT_EQ(g.num_edges(), 2);
+  EXPECT_EQ(g.max_degree(), 2);
+  EXPECT_EQ(g.min_degree(), 0);
+  EXPECT_EQ(g.edge_list(), want.edge_list());
+  EXPECT_TRUE(g.has_edge(2, 1));
+  const Graph empty = Graph::from_sorted_csr({0}, {});
+  EXPECT_EQ(empty.num_vertices(), 0);
+  EXPECT_EQ(empty.min_degree(), 0);
+  EXPECT_THROW(Graph::from_sorted_csr({}, {}), ContractViolation);
+  EXPECT_THROW(Graph::from_sorted_csr({1, 1}, {0}), ContractViolation);
+  EXPECT_THROW(Graph::from_sorted_csr({0, 2}, {1}), ContractViolation);
+  EXPECT_THROW(Graph::from_sorted_csr({0, 2, 1, 2}, {1, 0}),
+               ContractViolation);
+}
+
 TEST(Graph, EdgeListRoundTrips) {
   Rng rng(3);
   const Graph g = random_regular(30, 4, rng);
