@@ -13,14 +13,34 @@
 // PhaseStats counters — through FNV-1a, and is checked over the full
 // (shards, threads) ∈ {1, 2, 8}² grid: every shape must land on the one
 // frozen hash.
+//
+// The second table pins luby_mis_message_passing, the one pipeline that runs
+// on ParallelSyncEngine's message rounds: the MIS, the ledger total and the
+// ShardRuntime per-slot counters, over the serial, pooled, in-process
+// sharded (contiguous and cluster partitions, replicated and owner-routed
+// exchange) and 3-rank socketpair owner-routed shapes. Its rows were captured
+// from the tree before the engine's per-round inbox arena replaced the
+// per-vertex inbox vectors, so they pin that rewrite to the historical
+// output.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <cstdint>
+#include <exception>
+#include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/api.h"
 #include "graph/generators.h"
 #include "graph/ops.h"
+#include "graph/renumber.h"
+#include "local/round_ledger.h"
+#include "mis/luby_sync.h"
+#include "net/socket_transport.h"
+#include "runtime/mailbox.h"
+#include "runtime/thread_pool.h"
 #include "util/rng.h"
 
 namespace deltacol {
@@ -104,25 +124,30 @@ Algorithm alg_from_tag(const std::string& tag) {
   return Algorithm::kBaselineGreedyBrooks;
 }
 
-TEST(GoldenDeterminism, EveryShapeLandsOnThePrePrFingerprint) {
-  // The zoo of tests/test_parallel_determinism.cpp, reproduced exactly
-  // (same seed, same construction order — the generators consume one
-  // shared stream).
+struct Workload {
+  const char* name;
+  Graph g;
+};
+
+// The zoo of tests/test_parallel_determinism.cpp, reproduced exactly (same
+// seed, same construction order — the generators consume one shared
+// stream).
+std::vector<Workload> make_zoo() {
   Rng rng(71);
-  struct Workload {
-    const char* name;
-    Graph g;
-  };
-  const Workload zoo[] = {
-      {"regular-500-6", random_regular(500, 6, rng)},
-      {"gallai-400-4", random_gallai_tree(400, 4, rng)},
-      {"sparse-400-6", random_graph_max_degree(400, 6, 1.8, rng)},
-      {"3-components",
-       disjoint_union(disjoint_union(random_regular(200, 5, rng),
-                                     random_regular(90, 4, rng)),
-                      random_graph_max_degree(150, 6, 1.8, rng))},
-      {"triangle-cactus", triangle_cactus(1500)},
-  };
+  std::vector<Workload> zoo;
+  zoo.push_back({"regular-500-6", random_regular(500, 6, rng)});
+  zoo.push_back({"gallai-400-4", random_gallai_tree(400, 4, rng)});
+  zoo.push_back({"sparse-400-6", random_graph_max_degree(400, 6, 1.8, rng)});
+  zoo.push_back({"3-components",
+                 disjoint_union(disjoint_union(random_regular(200, 5, rng),
+                                               random_regular(90, 4, rng)),
+                                random_graph_max_degree(150, 6, 1.8, rng))});
+  zoo.push_back({"triangle-cactus", triangle_cactus(1500)});
+  return zoo;
+}
+
+TEST(GoldenDeterminism, EveryShapeLandsOnThePrePrFingerprint) {
+  const std::vector<Workload> zoo = make_zoo();
   for (const Golden& golden : kGoldens) {
     const Graph* g = nullptr;
     for (const auto& w : zoo) {
@@ -141,6 +166,182 @@ TEST(GoldenDeterminism, EveryShapeLandsOnThePrePrFingerprint) {
             << golden.graph << " / " << golden.alg << " / S="
             << num_shards << " T=" << threads;
       }
+    }
+  }
+}
+
+// --- message-passing Luby ---------------------------------------------------
+
+struct LubyGolden {
+  const char* graph;
+  // "unsharded" (no ShardRuntime: serial and pooled runs), or
+  // "S<k>-contiguous" / "S<k>-cluster" (a runtime over that partition).
+  const char* shape;
+  std::uint64_t hash;
+};
+
+// Captured from the tree before the inbox arena landed, seed 2025.
+constexpr LubyGolden kLubyGoldens[] = {
+    {"regular-500-6", "unsharded", 0x743dd13390917763ULL},
+    {"regular-500-6", "S2-contiguous", 0x1ab4e491b223928dULL},
+    {"regular-500-6", "S2-cluster", 0x6565167ec4698d6fULL},
+    {"regular-500-6", "S8-contiguous", 0x5ec65639a9465e6dULL},
+    {"regular-500-6", "S8-cluster", 0xebcb675660c5e080ULL},
+    {"regular-500-6", "S3-contiguous", 0xe11f6aa24a2cd8a4ULL},
+    {"gallai-400-4", "unsharded", 0x8ae12c949209d2e0ULL},
+    {"gallai-400-4", "S2-contiguous", 0x804dc2e5f06ced43ULL},
+    {"gallai-400-4", "S2-cluster", 0xc145499057a6f096ULL},
+    {"gallai-400-4", "S8-contiguous", 0x46bfee01722cd2e9ULL},
+    {"gallai-400-4", "S8-cluster", 0xf39e5e9930d1cd86ULL},
+    {"gallai-400-4", "S3-contiguous", 0xd7c35b6e78f54aa5ULL},
+    {"sparse-400-6", "unsharded", 0xa86b160fa78e2da2ULL},
+    {"sparse-400-6", "S2-contiguous", 0x544d4ff248e33346ULL},
+    {"sparse-400-6", "S2-cluster", 0xe36375e300a949f4ULL},
+    {"sparse-400-6", "S8-contiguous", 0x8bfbe8c8102d0307ULL},
+    {"sparse-400-6", "S8-cluster", 0x9df3ca7d2e768bc9ULL},
+    {"sparse-400-6", "S3-contiguous", 0xf2f560cc6ecc7705ULL},
+    {"3-components", "unsharded", 0x918584e26fe33283ULL},
+    {"3-components", "S2-contiguous", 0x90d575ba781ab7efULL},
+    {"3-components", "S2-cluster", 0x915c7ce762c832c2ULL},
+    {"3-components", "S8-contiguous", 0x78f0ec0d9851ab2fULL},
+    {"3-components", "S8-cluster", 0xcdf4fba1b07dbd02ULL},
+    {"3-components", "S3-contiguous", 0xc35dd9e2f64f7bbfULL},
+    {"triangle-cactus", "unsharded", 0x668dd5e18ca558e2ULL},
+    {"triangle-cactus", "S2-contiguous", 0x3f6aaa3d5d2d4407ULL},
+    {"triangle-cactus", "S2-cluster", 0xc74c1244bc4774c5ULL},
+    {"triangle-cactus", "S8-contiguous", 0x85465a0d66175746ULL},
+    {"triangle-cactus", "S8-cluster", 0x5e8524ee1fabfffcULL},
+    {"triangle-cactus", "S3-contiguous", 0x6f599dcf62aa898eULL},
+};
+
+std::uint64_t luby_fingerprint(const std::vector<bool>& mis,
+                               const RoundLedger& ledger,
+                               const ShardRuntime* runtime) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (bool b : mis) h = fnv1a(h, b ? 1u : 0u);
+  h = fnv1a(h, static_cast<std::uint64_t>(ledger.total()));
+  if (runtime == nullptr) return h;
+  h = fnv1a(h, static_cast<std::uint64_t>(runtime->rounds_recorded()));
+  for (int s = 0; s < runtime->num_shards(); ++s) {
+    for (int d = 0; d < runtime->num_shards(); ++d) {
+      h = fnv1a(h, static_cast<std::uint64_t>(runtime->slot_messages(s, d)));
+      h = fnv1a(h, static_cast<std::uint64_t>(runtime->slot_bits(s, d)));
+    }
+  }
+  return h;
+}
+
+std::uint64_t luby_run(const Graph& g, ThreadPool* pool,
+                       ShardRuntime* runtime) {
+  Rng rng(2025);
+  RoundLedger ledger;
+  const std::vector<bool> mis =
+      luby_mis_message_passing(g, rng, ledger, "mis", pool, runtime);
+  return luby_fingerprint(mis, ledger, runtime);
+}
+
+// `world` SocketTransport ranks over a full socketpair mesh, each with its
+// own owner-routed ShardRuntime over the contiguous partition, run
+// concurrently; returns every rank's fingerprint.
+std::vector<std::uint64_t> luby_socket_ranks(const Graph& g, int world) {
+  std::vector<std::vector<int>> fds(static_cast<std::size_t>(world),
+                                    std::vector<int>(world, -1));
+  for (int a = 0; a < world; ++a) {
+    for (int b = a + 1; b < world; ++b) {
+      int sv[2];
+      if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
+        ADD_FAILURE() << "socketpair failed";
+        return {};
+      }
+      fds[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] = sv[0];
+      fds[static_cast<std::size_t>(b)][static_cast<std::size_t>(a)] = sv[1];
+    }
+  }
+  std::vector<std::unique_ptr<ShardRuntime>> runtimes;
+  for (int r = 0; r < world; ++r) {
+    runtimes.push_back(std::make_unique<ShardRuntime>(
+        g, VertexPartition::contiguous(g.num_vertices(), world), nullptr,
+        std::make_unique<SocketTransport>(
+            r, world, std::move(fds[static_cast<std::size_t>(r)]))));
+    runtimes.back()->set_exchange_policy(ExchangePolicy::kOwnerRouted);
+  }
+  std::vector<std::uint64_t> hashes(static_cast<std::size_t>(world), 0);
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(world));
+  std::vector<std::thread> threads;
+  for (int r = 0; r < world; ++r) {
+    threads.emplace_back([&, r] {
+      try {
+        hashes[static_cast<std::size_t>(r)] =
+            luby_run(g, nullptr, runtimes[static_cast<std::size_t>(r)].get());
+      } catch (...) {
+        errors[static_cast<std::size_t>(r)] = std::current_exception();
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (auto& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+  return hashes;
+}
+
+std::uint64_t luby_golden(const char* graph, const std::string& shape) {
+  for (const LubyGolden& golden : kLubyGoldens) {
+    if (std::string(golden.graph) == graph && golden.shape == shape) {
+      return golden.hash;
+    }
+  }
+  ADD_FAILURE() << "no Luby golden row for " << graph << " / " << shape;
+  return 0;
+}
+
+TEST(GoldenDeterminism, MessagePassingLubyLandsOnThePrePrFingerprint) {
+  const std::vector<Workload> zoo = make_zoo();
+  ThreadPool pool2(2);
+  ThreadPool pool8(8);
+  for (const Workload& w : zoo) {
+    const std::uint64_t unsharded = luby_golden(w.name, "unsharded");
+    EXPECT_EQ(luby_run(w.g, nullptr, nullptr), unsharded)
+        << std::hex << w.name << " serial";
+    EXPECT_EQ(luby_run(w.g, &pool2, nullptr), unsharded)
+        << std::hex << w.name << " T=2";
+    EXPECT_EQ(luby_run(w.g, &pool8, nullptr), unsharded)
+        << std::hex << w.name << " T=8";
+
+    for (int num_shards : {2, 8}) {
+      for (PartitionStrategy strategy :
+           {PartitionStrategy::kContiguous, PartitionStrategy::kCluster}) {
+        std::string shape = "S";
+        shape += std::to_string(num_shards);
+        shape += '-';
+        shape += partition_strategy_name(strategy);
+        const std::uint64_t golden = luby_golden(w.name, shape);
+        for (ExchangePolicy policy :
+             {ExchangePolicy::kReplicated, ExchangePolicy::kOwnerRouted}) {
+          for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool8}) {
+            ShardRuntime runtime(w.g,
+                                 make_partition(w.g, num_shards, strategy),
+                                 pool);
+            runtime.set_exchange_policy(policy);
+            EXPECT_EQ(luby_run(w.g, pool, &runtime), golden)
+                << std::hex << w.name << " " << shape << " policy "
+                << static_cast<int>(policy) << " T="
+                << (pool == nullptr ? 1 : 8);
+          }
+        }
+      }
+    }
+
+    // Three ranks: the owner-routed distributed round, where every rank's
+    // column merges two remote slots. The in-process replicated run over
+    // the same partition lands on the same row.
+    const std::uint64_t golden = luby_golden(w.name, "S3-contiguous");
+    ShardRuntime in_process(w.g, 3, nullptr);
+    EXPECT_EQ(luby_run(w.g, nullptr, &in_process), golden)
+        << std::hex << w.name << " S3 in-process";
+    const std::vector<std::uint64_t> ranks = luby_socket_ranks(w.g, 3);
+    for (std::size_t r = 0; r < ranks.size(); ++r) {
+      EXPECT_EQ(ranks[r], golden) << std::hex << w.name << " rank " << r;
     }
   }
 }
