@@ -1,8 +1,8 @@
 // E19 — ExecutionMode::kFast vs kDeterministic (runtime/execution_mode.h).
 //
 // The claim: dropping the determinism discipline's ordering passes — the
-// stable sender sorts, the two-phase frontier replay, the extra per-round
-// barrier, the shard-fenced sweeps — buys wall-clock on large graphs while
+// inbox sort fallback, the two-phase frontier replay, the shard-fenced
+// sweeps — buys wall-clock on large graphs while
 // every run still produces a valid Delta-coloring with the same palette
 // bound and a round total within the deterministic reference.
 //

@@ -129,8 +129,8 @@ struct DeltaColoringOptions {
   /// oracle, pinned byte-for-byte by tests/test_golden_determinism.cpp.
   /// kFast: the runtime drops replay/merge ordering wherever the algorithms
   /// only need *a* valid outcome — atomics-based frontier claiming,
-  /// merge-on-arrival inboxes without the stable sender sort, first-come
-  /// work claiming in the component fan-outs, fused merge+receive barriers.
+  /// inboxes in merge order without the sort fallback, first-come work
+  /// claiming in the component fan-outs.
   /// Only VALIDITY is then guaranteed: a proper Delta-coloring, the same
   /// color-count bound, rounds within the deterministic mode's bound,
   /// CONGEST charges from the same order-free max fold (enforced by

@@ -13,11 +13,16 @@
 // instance of the partitioned execution model: the node sweep runs over a
 // whole-graph GraphView and every send is staged through a single-slot
 // Mailbox before delivery (graph/partition.h, runtime/mailbox.h). With one
-// shard the staging slot is filled and drained in ascending sender order —
+// shard the staging slot is filled and read in ascending sender order —
 // the exact fill order the pre-shard engine used — so this remains the
 // byte-level reference semantics that ParallelSyncEngine (any chunking, any
-// shard count) must reproduce, while sharing the same vocabulary the
-// sharded engine is expressed in.
+// shard count) must reproduce. It shares ParallelSyncEngine's callback
+// types, so one lambda pair drives both, but deliberately keeps the naive
+// delivery: a fresh per-vertex inbox vector every round and a stable sort
+// by sender on every inbox. ParallelSyncEngine's counting scatter into a
+// flat arena, sorted by construction with a stable sort only for
+// out-of-order inboxes, is checked against this independent reference
+// (tests/test_runtime.cpp, tests/test_mailbox.cpp).
 //
 // Algorithms that are naturally per-node (Luby's MIS, trial list coloring,
 // Linial's coloring) run through this engine; structural steps with large
@@ -27,6 +32,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -47,12 +53,14 @@ class SyncEngine {
   // to a non-neighbor is a contract violation (the LOCAL model only has
   // links to neighbors).
   using Outbox = std::vector<std::pair<int, Msg>>;
-  // send(v, state) -> messages for neighbors of v.
-  using SendFn = std::function<Outbox(int, const State&)>;
+  // send(v, state, out): append v's messages for its neighbors to `out`,
+  // which the engine hands over empty.
+  using SendFn = std::function<void(int, const State&, Outbox&)>;
   // receive(v, state, inbox): update v's state from delivered messages.
-  // Inbox entries are (sender, payload), sorted by sender.
-  using Inbox = std::vector<std::pair<int, Msg>>;
-  using RecvFn = std::function<void(int, State&, const Inbox&)>;
+  // Inbox entries are (sender, payload), sorted by sender, ties in emission
+  // order; the span is valid only during the call.
+  using Inbox = std::span<const std::pair<int, Msg>>;
+  using RecvFn = std::function<void(int, State&, Inbox)>;
 
   // `mode` (runtime/execution_mode.h): kFast skips the per-inbox sender
   // sort. The serial staging slot already fills in ascending sender order,
@@ -77,27 +85,31 @@ class SyncEngine {
   // Executes one synchronous round over the whole graph and charges 1 round.
   void round(const SendFn& send, const RecvFn& receive) {
     const int n = view_.num_owned();
-    std::vector<Inbox> inboxes(static_cast<std::size_t>(n));
+    std::vector<std::vector<std::pair<int, Msg>>> inboxes(
+        static_cast<std::size_t>(n));
     // Send phase: the single shard sweeps its owned range in ascending id
     // order, staging through its mailbox row.
     mailbox_.clear();
+    Outbox out;
     for (int v = view_.owned_begin(); v < view_.owned_end(); ++v) {
-      for (auto& [to, msg] : send(v, states_[static_cast<std::size_t>(v)])) {
+      out.clear();
+      send(v, states_[static_cast<std::size_t>(v)], out);
+      for (auto& [to, msg] : out) {
         DC_REQUIRE(graph_.has_edge(v, to),
                    "LOCAL model: messages only travel along edges");
         mailbox_.post(0, v, to, std::move(msg));
       }
     }
-    // Merge phase: drain slot (0, 0) — already in ascending sender order —
-    // then sort each inbox by sender.
+    // Merge phase: move slot (0, 0) — already in ascending sender order —
+    // into per-vertex inboxes, then sort each inbox by sender.
     for (auto& e : mailbox_.slot(0, 0)) {
       inboxes[static_cast<std::size_t>(e.to)].emplace_back(e.from,
                                                            std::move(e.msg));
     }
-    // Stable, matching ParallelSyncEngine::sort_inbox: ties (one sender,
-    // several messages to one destination) keep emission order on every
-    // execution path, so the parallel/sharded/renumbered merges reproduce
-    // this exact sequence (DESIGN.md §6). Fast mode skips it (see ctor).
+    // Stable: ties (one sender, several messages to one destination) keep
+    // emission order, the order ParallelSyncEngine's scatter and its
+    // sort fallback reproduce on every execution path (DESIGN.md §6). Fast
+    // mode skips it (see ctor).
     if (mode_ == ExecutionMode::kDeterministic) {
       for (auto& inbox : inboxes) {
         std::stable_sort(
@@ -111,7 +123,8 @@ class SyncEngine {
     std::int64_t max_edge_bits = 0;
     if (ledger_.congest_bits() > 0) {
       for (const auto& inbox : inboxes) {
-        max_edge_bits = std::max(max_edge_bits, max_edge_bits_in_inbox(inbox));
+        max_edge_bits = std::max(max_edge_bits,
+                                 max_edge_bits_in_inbox(Inbox(inbox)));
       }
     }
     // Receive phase over the owned range.

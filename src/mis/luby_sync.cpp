@@ -59,8 +59,8 @@ std::vector<bool> luby_mis_message_passing(const Graph& g, Rng& rng,
                                            ShardRuntime* shards,
                                            ExecutionMode mode) {
   const int n = g.num_vertices();
-  ParallelSyncEngine<NodeState, Msg> engine(g, ledger, std::string(phase),
-                                            pool, shards, mode);
+  using Engine = ParallelSyncEngine<NodeState, Msg>;
+  Engine engine(g, ledger, std::string(phase), pool, shards, mode);
   const VertexPartition part = shards != nullptr
                                    ? shards->partition()
                                    : VertexPartition::contiguous(n, 1);
@@ -106,14 +106,12 @@ std::vector<bool> luby_mis_message_passing(const Graph& g, Rng& rng,
     });
     // Round A: actives announce priorities; local minima join.
     engine.round(
-        [&g](int v, const NodeState& s) {
-          ParallelSyncEngine<NodeState, Msg>::Outbox out;
+        [&g](int v, const NodeState& s, Engine::Outbox& out) {
           if (s.status == NodeStatus::kActive) {
             for (int u : g.neighbors(v)) out.push_back({u, {false, s.priority}});
           }
-          return out;
         },
-        [](int v, NodeState& s, const ParallelSyncEngine<NodeState, Msg>::Inbox& in) {
+        [](int v, NodeState& s, Engine::Inbox in) {
           if (s.status != NodeStatus::kActive) return;
           bool local_min = true;
           for (const auto& [from, msg] : in) {
@@ -127,14 +125,12 @@ std::vector<bool> luby_mis_message_passing(const Graph& g, Rng& rng,
         });
     // Round B: joiners notify, active neighbors drop out.
     engine.round(
-        [&g](int v, const NodeState& s) {
-          ParallelSyncEngine<NodeState, Msg>::Outbox out;
+        [&g](int v, const NodeState& s, Engine::Outbox& out) {
           if (s.status == NodeStatus::kInMis) {
             for (int u : g.neighbors(v)) out.push_back({u, {true, 0}});
           }
-          return out;
         },
-        [](int, NodeState& s, const ParallelSyncEngine<NodeState, Msg>::Inbox& in) {
+        [](int, NodeState& s, Engine::Inbox in) {
           if (s.status != NodeStatus::kActive) return;
           for (const auto& [from, msg] : in) {
             (void)from;

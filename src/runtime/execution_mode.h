@@ -4,16 +4,18 @@
 ///
 /// **kDeterministic** (the default, and the reference oracle) keeps every
 /// ordering discipline the runtime was built on: two-phase frontier replay
-/// (graph/frontier_bfs.h), shard-major stable-sorted inbox merges
-/// (runtime/parallel_sync_engine.h, local/sync_engine.h), static chunk
+/// (graph/frontier_bfs.h), inboxes in ascending sender order (a counting
+/// scatter sorted by construction, with a stable-sort fallback for the
+/// inboxes a renumbered partition leaves out of order;
+/// runtime/parallel_sync_engine.h, local/sync_engine.h), static chunk
 /// partitions and shard-placed fan-outs (runtime/component_scheduler.h,
 /// runtime/mailbox.h). Results are bit-identical for every
 /// (threads, shards, partition) shape.
 ///
 /// **kFast** drops those orderings wherever the algorithms only need *a*
 /// valid outcome, not *the* serial one: atomics-based first-claim frontier
-/// expansion, merge-on-arrival inboxes with no stable sort, first-come work
-/// claiming in the component fan-outs, and fused merge+receive barriers.
+/// expansion, inboxes in merge order with no sort fallback, and first-come
+/// work claiming in the component fan-outs.
 /// The contract shrinks to VALIDITY — a proper Delta-coloring within the
 /// proven round bounds, CONGEST charges computed by the same order-free max
 /// fold — and is pinned by the cross-validation harness

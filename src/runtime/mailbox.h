@@ -19,7 +19,7 @@
 ///
 ///  * `Mailbox<Msg>` — per-(source-shard, destination-shard) staging slots
 ///    for one round's envelopes. Posting is row-private (shard s writes only
-///    slots (s, *)), draining is column-private (shard d reads only slots
+///    slots (s, *)), merging is column-private (shard d reads only slots
 ///    (*, d)), so no synchronization beyond the transport barrier is needed.
 ///
 ///  * `ShardRuntime` — one graph's shard bundle: partition + views +
@@ -29,22 +29,25 @@
 ///    Transport needs.
 ///
 /// **The merge-order rule** (the whole determinism argument, DESIGN.md §6):
-/// within a source shard, envelopes are staged in ascending sender order
-/// (chunk-indexed staging concatenated in chunk order, exactly the
-/// ParallelSyncEngine discipline); destination shards drain slots in
-/// ascending source-shard order and the engine re-sorts each inbox
-/// *stably* by sender. Under the contiguous partition shard-major
-/// concatenation already is global ascending sender order — the serial
-/// engine's inbox fill order; under a renumbered locality-aware partition
-/// (graph/partition.h, PR 8) it is not, but the stable sort restores it
-/// exactly, because each sender's messages to one destination live in a
-/// single slot in emission order. Either way every inbox is byte-identical
-/// for every (shards, threads, partition) combination.
+/// within a source shard, envelopes are posted in ascending sender order
+/// (chunk-indexed staging replayed in chunk order, exactly the
+/// ParallelSyncEngine discipline); each destination shard reads its column
+/// in place, in ascending source-shard order, and the engine scatters it
+/// into a flat inbox arena by a counting pass over destinations. Under the
+/// contiguous partition shard-major order already is global ascending
+/// sender order — the serial engine's inbox fill order — so every inbox is
+/// sorted by construction. Under a renumbered locality-aware partition
+/// (graph/partition.h) it is not; the engine stable-sorts by sender exactly
+/// the inboxes that is_sorted finds out of order, which restores the serial
+/// order because each sender's messages to one destination live in a single
+/// slot in emission order. Either way every inbox is byte-identical for
+/// every (shards, threads, partition) combination.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -306,16 +309,31 @@ class Mailbox {
   /// wire tally identical counters). A slot may be filled at most once per
   /// round, and never on top of locally posted envelopes: double delivery
   /// is a transport bug this assertion turns into a loud failure instead of
-  /// silently duplicated messages.
+  /// silently duplicated messages. Every envelope must be addressed to the
+  /// slot — `to` owned by dst_shard, `from` owned by src_shard — or fill
+  /// throws WireError naming the slot: a misaddressed envelope from a peer
+  /// would otherwise reach receive() under a foreign sender id.
   void fill(int src_shard, int dst_shard, std::vector<Envelope> envelopes) {
     const std::size_t idx = slot_index(src_shard, dst_shard);
     DC_REQUIRE(!filled_[idx], "mailbox slot filled twice in one round");
     DC_REQUIRE(slots_[idx].empty(),
                "mailbox fill would clobber locally posted envelopes");
-    filled_[idx] = 1;
+    const int n = part_->num_vertices();
+    std::int64_t bits = 0;
     for (const Envelope& e : envelopes) {
-      slot_bits_[idx] += message_bits(e.msg);
+      if (e.to < 0 || e.to >= n || e.from < 0 || e.from >= n ||
+          part_->shard_of(e.to) != dst_shard ||
+          part_->shard_of(e.from) != src_shard) {
+        throw WireError("mailbox slot (" + std::to_string(src_shard) + ", " +
+                        std::to_string(dst_shard) +
+                        ") holds a misaddressed envelope: " +
+                        std::to_string(e.from) + " -> " +
+                        std::to_string(e.to));
+      }
+      bits += message_bits(e.msg);
     }
+    filled_[idx] = 1;
+    slot_bits_[idx] += bits;
     slot_counts_[idx] += static_cast<std::int64_t>(envelopes.size());
     slots_[idx] = std::move(envelopes);
   }
@@ -344,15 +362,9 @@ class Mailbox {
     return row;
   }
 
-  /// Moves one slot's envelopes out (the drain side of the receive barrier),
-  /// leaving the slot empty. The round's tallies (slot_counts / slot_bits)
-  /// are unaffected — they describe what was staged this round, not what is
-  /// currently buffered — so ShardRuntime::record_round may run after the
-  /// receive has drained everything.
-  std::vector<Envelope> drain(int src_shard, int dst_shard) {
-    return std::exchange(slots_[slot_index(src_shard, dst_shard)], {});
-  }
-
+  /// One slot's envelopes, in post order. The destination shard's merge
+  /// reads (and moves messages out of) its column in place; clear() empties
+  /// the slots at the next round start, keeping their capacity.
   std::vector<Envelope>& slot(int src, int dst) {
     return slots_[static_cast<std::size_t>(src) *
                       static_cast<std::size_t>(num_shards_) +
@@ -366,7 +378,8 @@ class Mailbox {
 
   /// Per-slot envelope counts of this round, row-major (feeds
   /// ShardRuntime::record_round). Accumulated at post/fill time, so the
-  /// counts survive drain().
+  /// counts describe what was staged even after the merge moved the
+  /// messages out.
   const std::vector<std::int64_t>& slot_counts() const { return slot_counts_; }
 
   /// Per-slot wire-bit totals of this round, row-major (the byte-accounting

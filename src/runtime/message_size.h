@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -81,20 +82,22 @@ struct MessageSize<std::vector<T>> {
   }
 };
 
-/// Heaviest directed edge in one receiver's inbox, in bits. The inbox must
-/// be sorted by sender (the engines' post-merge invariant), so the messages
-/// one neighbor sent this round form a contiguous run; the run's bit sum is
-/// that edge's load and the maximum over runs is what the CONGEST charge
-/// ceil(load / B) is taken over. A max of maxes over all receivers is
-/// order-free, so the engines may fold this per-vertex value in any
-/// schedule without perturbing determinism.
+/// Heaviest directed edge in one receiver's inbox, in bits. Each sender's
+/// messages must form one contiguous run — true of every inbox the engines
+/// hand to receive(): the counting scatter places one sender's messages to
+/// one destination consecutively (they sit in one staging buffer or mailbox
+/// slot in emission order), and the sort fallback keeps them together. The
+/// run's bit sum is that edge's load and the maximum over runs is what the
+/// CONGEST charge ceil(load / B) is taken over. A max of maxes over all
+/// receivers is order-free, so the engines may fold this per-vertex value
+/// in any schedule without perturbing determinism.
 template <typename Msg>
 inline std::int64_t max_edge_bits_in_inbox(
-    const std::vector<std::pair<int, Msg>>& sorted_inbox) {
+    std::span<const std::pair<int, Msg>> inbox) {
   std::int64_t best = 0;
   std::int64_t run = 0;
   int prev_sender = -1;
-  for (const auto& [from, msg] : sorted_inbox) {
+  for (const auto& [from, msg] : inbox) {
     if (from != prev_sender) {
       if (run > best) best = run;
       run = 0;

@@ -1,20 +1,24 @@
 /// \file
 /// Multi-threaded, shard-ready synchronous message-passing engine.
 ///
-/// Same execution model and callback contract as local/sync_engine.h — one
-/// synchronous LOCAL round = all nodes send, all messages delivered, all
-/// nodes receive, 1 round charged — with two execution strategies on top of
-/// the serial reference:
+/// Same execution model as local/sync_engine.h, and the same callback types,
+/// so one lambda pair drives both engines: one synchronous LOCAL round = all
+/// nodes send, all messages delivered, all nodes receive, 1 round charged.
+/// Every path delivers a round's messages the same way: into one flat
+/// **inbox arena** the engine owns and reuses across rounds. A counting pass
+/// over destinations sizes every inbox, a prefix sum lays them out, and a
+/// scatter in merge order fills them; receive(v) gets a span into the
+/// arena. send(v) fills a cleared outbox the engine owns (one per send
+/// chunk), so a round allocates nothing once the buffers have grown.
 ///
-/// **Chunked (no ShardRuntime attached).** Each round runs in two parallel
-/// barriers on a ThreadPool:
+/// **Chunked (no ShardRuntime attached).** Each round runs in two barriers
+/// on a ThreadPool (one chunk on the calling thread without a pool):
 ///
 ///   1. **Parallel send.** Contiguous sender ranges are dispatched as chunks;
-///      each chunk stages its messages in a private outbox, in sender order.
-///   2. **Deterministic merge.** Chunk outboxes are concatenated in chunk
-///      order (= ascending sender order, exactly the order the serial engine
-///      fills inboxes in) and then each inbox is sorted by sender with the
-///      same comparator the serial engine uses.
+///      each chunk stages its messages in its own buffer, in sender order.
+///   2. **Merge.** Chunk buffers are scattered into the arena in chunk order
+///      = ascending sender order, exactly the order the serial engine fills
+///      inboxes in, so every inbox is sorted by construction.
 ///   3. **Parallel receive.** Every node consumes its inbox independently.
 ///
 /// **Sharded (a ShardRuntime attached).** The round is expressed against
@@ -23,71 +27,72 @@
 /// barrier is a Transport::run_shards call, so swapping the in-process
 /// transport for a distributed one changes no engine code:
 ///
-///   1. **Sharded send.** Each source shard sweeps its owned contiguous
-///      range (chunk-staged on the pool, concatenated in chunk order — the
-///      same discipline as above) and posts envelopes into its mailbox row.
+///   1. **Sharded send.** Each source shard sweeps its owned vertices in
+///      ascending id order and posts envelopes into its mailbox row —
+///      straight from the outbox when the sweep is one chunk, else staged
+///      per chunk on the pool and replayed in chunk order.
 ///   2. **Exchange.** A no-op in process (the run_shards barrier already
 ///      published the shared-memory mailbox). On a distributed backend
 ///      (Transport::local_shard() >= 0) this is where the bytes move: the
 ///      engine serializes the local rank's mailbox row with WireCodec
 ///      (net/wire_codec.h), all-gathers it through the transport, and
 ///      installs the remote rows with Mailbox::fill.
-///   3. **Sharded merge + receive.** Each destination shard drains its
-///      mailbox column in ascending source-shard order, sorts its owned
-///      inboxes, and receives. Distributed ranks replay the merge + receive
-///      for every shard — the replicated-state discipline that keeps each
-///      rank's global state bit-identical while the send sweep is genuinely
-///      partitioned across processes.
+///   3. **Sharded merge + receive.** Each destination shard reads its
+///      mailbox column in place, in ascending source-shard order, scatters
+///      it into its own arena, and receives. Distributed ranks replay the
+///      merge + receive for every shard — the replicated-state discipline
+///      that keeps each rank's global state bit-identical while the send
+///      sweep is genuinely partitioned across processes.
 ///
 /// **Owner-compute** (ShardRuntime::exchange_policy() == kOwnerRouted over a
 /// distributed transport): steps 2–3 change shape. The engine holds state
 /// for the LOCAL shard only (states_ sized to GraphView::num_owned(),
-/// indexed by owned position), encodes only the off-diagonal slots of its
-/// row (Mailbox::encode_owned_row — the diagonal never touches the codec),
-/// ships them point-to-point (Transport::exchange_owned), and merges +
-/// receives only its own column. Per-rank work drops from O(n) to
-/// O(n/S + halo) and the wire carries only cross-shard payload; results
-/// stay bit-identical because each shard's merged inbox never depended on
-/// any other shard's local state (DESIGN.md §6, "Owner-compute"). Drivers
-/// that sweep or read global state must consult owner_local_state() and use
-/// the transport's allreduce/gather collectives (mis/luby_sync.cpp is the
-/// model). In-process runs under the same policy keep full state but
-/// round-trip cross-shard slots through the codec, so the hermetic suites
-/// differential both policies without sockets.
+/// indexed by layout offset within the shard), encodes only the
+/// off-diagonal slots of its row (Mailbox::encode_owned_row — the diagonal
+/// never touches the codec), ships them point-to-point
+/// (Transport::exchange_owned), and merges + receives only its own column.
+/// Per-rank work drops from O(n) to O(n/S + halo) and the wire carries only
+/// cross-shard payload; results stay bit-identical because each shard's
+/// merged inbox never depended on any other shard's local state (DESIGN.md
+/// §6, "Owner-compute"). Drivers that sweep or read global state must
+/// consult owner_local_state() and use the transport's allreduce/gather
+/// collectives (mis/luby_sync.cpp is the model). In-process runs under the
+/// same policy keep full state but round-trip cross-shard slots through the
+/// codec, so the hermetic suites differential both policies without sockets.
 ///
-/// Every staging path presents one sender's messages to one destination in
-/// emission order, and the per-inbox merge sorts *stably* by sender, so the
-/// inbox contents handed to receive() are byte-for-byte what SyncEngine
-/// produces — for contiguous partitions (where shard-major draining already
-/// yields globally ascending senders) and for renumbered locality-aware
-/// partitions alike (where it does not; DESIGN.md §6). Colorings, ledgers
-/// and stats are bit-identical for every (shards, threads, partition)
-/// combination, including pool == nullptr and no runtime (the inline serial
-/// path). The test suite pins this equivalence down (tests/test_runtime.cpp,
-/// tests/test_mailbox.cpp, tests/test_renumber.cpp).
+/// **Inbox order.** receive() sees ascending senders, ties in emission
+/// order — byte-for-byte what SyncEngine produces. The counting scatter
+/// yields that order by construction whenever the merge order is ascending
+/// sender order: the serial and chunked paths, and contiguous partitions
+/// (shard-major = id-major). Only a renumbered locality-aware partition
+/// (`--partition cluster`; DESIGN.md §6) can leave an inbox out of order;
+/// every inbox is checked with is_sorted, and a stable sort by sender runs
+/// only on those that fail. Stable suffices because every staging path
+/// presents one sender's messages to one destination in emission order,
+/// within one slot. Colorings, ledgers and stats are bit-identical for
+/// every (shards, threads, partition) combination, including pool ==
+/// nullptr and no runtime. The test suite pins this equivalence down
+/// (tests/test_runtime.cpp, tests/test_mailbox.cpp, tests/test_renumber.cpp,
+/// tests/test_golden_determinism.cpp).
 ///
 /// Additional contract on the callbacks (trivially satisfied by per-node
-/// LOCAL algorithms): send(v, state) reads only v's state and the graph;
-/// receive(v, state, inbox) mutates only v's state.
+/// LOCAL algorithms): send(v, state, out) reads only v's state and the
+/// graph; receive(v, state, inbox) mutates only v's state.
 ///
-/// **Fast mode** (ExecutionMode::kFast, runtime/execution_mode.h): inboxes
-/// merge on arrival — the chunked strategy stages envelopes bucketed by
-/// destination range and runs ONE barrier that delivers, folds CONGEST bits
-/// and receives per destination bucket (two barriers per round instead of
-/// three, and no stable sender sort); the sharded strategy keeps its
-/// transport structure but skips the per-inbox sort and fuses the CONGEST
-/// fold into the receive sweep. Inbox ORDER handed to receive() is then
-/// arbitrary (staging-bucket order, not ascending sender), so fast mode is
-/// only for receive callbacks that are order-insensitive — which every
-/// per-node LOCAL algorithm in this tree is (min-folds and full scans).
-/// CONGEST charges are unchanged: the per-edge tally and the max fold never
-/// depended on merge order. Deterministic mode is untouched.
+/// **Fast mode** (ExecutionMode::kFast, runtime/execution_mode.h) skips the
+/// is_sorted check and the stable-sort fallback, so inbox order handed to
+/// receive() is merge order, which is not ascending sender order under a
+/// renumbered partition. It is only for receive callbacks that are
+/// order-insensitive — which every per-node LOCAL algorithm in this tree is
+/// (min-folds and full scans). CONGEST charges are unchanged: the per-edge
+/// tally and the max fold never depended on merge order.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <functional>
 #include <optional>
-#include <tuple>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -105,10 +110,16 @@ namespace deltacol {
 template <typename State, typename Msg>
 class ParallelSyncEngine {
  public:
+  /// Messages one node sends in one round: (neighbor, payload) pairs.
   using Outbox = std::vector<std::pair<int, Msg>>;
-  using SendFn = std::function<Outbox(int, const State&)>;
-  using Inbox = std::vector<std::pair<int, Msg>>;
-  using RecvFn = std::function<void(int, State&, const Inbox&)>;
+  /// send(v, state, out) appends v's messages to `out`, which the engine
+  /// hands over empty and reuses across senders and rounds.
+  using SendFn = std::function<void(int, const State&, Outbox&)>;
+  /// (sender, payload) pairs in ascending sender order, ties in emission
+  /// order: a view into the engine's per-round arena, valid only for the
+  /// duration of the receive call.
+  using Inbox = std::span<const std::pair<int, Msg>>;
+  using RecvFn = std::function<void(int, State&, Inbox)>;
 
   /// `pool` may be nullptr (or single-threaded): rounds then execute on the
   /// calling thread, identically to SyncEngine. `shards` may be nullptr:
@@ -125,6 +136,8 @@ class ParallelSyncEngine {
         pool_(pool),
         shards_(shards),
         mode_(mode) {
+    int send_shards = 1;
+    int arenas = 1;
     if (shards_ != nullptr) {
       DC_REQUIRE(shards_->partition().num_vertices() == g.num_vertices(),
                  "shard runtime was built over a different graph");
@@ -135,7 +148,11 @@ class ParallelSyncEngine {
       if (owner_dist_) {
         owned_base_ = shards_->partition().begin(local_shard_);
       }
+      send_shards = shards_->num_shards();
+      arenas = owner_dist_ ? 1 : send_shards;
     }
+    send_chunks_.resize(static_cast<std::size_t>(send_shards));
+    arenas_.resize(static_cast<std::size_t>(arenas));
     // Owner-compute distributed ranks hold state for their OWN shard only —
     // O(n/S) per rank, allocated from the GraphView's owned count — every
     // other shape keeps the full per-vertex array (the replicated
@@ -162,79 +179,76 @@ class ParallelSyncEngine {
       return;
     }
     const int n = graph_.num_vertices();
-    std::vector<Inbox> inboxes(static_cast<std::size_t>(n));
-
-    const bool congest = ledger_.congest_bits() > 0;
-
-    if (pool_ == nullptr || pool_->num_threads() <= 1) {
-      // Serial path: the reference semantics (mirrors SyncEngine::round).
-      // Fast mode skips the sender sort — the serial fill is already in
-      // ascending sender order, so the sort is pure overhead here.
-      for (int v = 0; v < n; ++v) {
-        deliver(v, send(v, states_[static_cast<std::size_t>(v)]), inboxes);
-      }
-      std::int64_t max_edge_bits = 0;
-      for (auto& inbox : inboxes) {
-        if (mode_ == ExecutionMode::kDeterministic) sort_inbox(inbox);
-        if (congest) {
-          max_edge_bits =
-              std::max(max_edge_bits, max_edge_bits_in_inbox(inbox));
-        }
-      }
-      for (int v = 0; v < n; ++v) {
-        receive(v, states_[static_cast<std::size_t>(v)],
-                inboxes[static_cast<std::size_t>(v)]);
-      }
-      ledger_.charge_message_round(max_edge_bits, phase_);
-      return;
-    }
-
-    if (mode_ == ExecutionMode::kFast) {
-      round_fast_chunked(send, receive, inboxes, congest);
-      return;
-    }
-
-    // Barrier 1: parallel send into per-chunk staging buffers.
-    std::vector<std::vector<Envelope>> staged(
-        static_cast<std::size_t>(pool_->num_range_chunks(n)));
-    pool_->parallel_ranges(0, n, [&](int chunk, int lo, int hi) {
-      stage_range(send, lo, hi, staged[static_cast<std::size_t>(chunk)]);
-    });
-    // Deterministic merge: chunk order == ascending sender order, matching
-    // the serial fill exactly.
-    for (auto& buf : staged) {
-      for (auto& e : buf) {
-        inboxes[static_cast<std::size_t>(e.to)].emplace_back(e.from,
-                                                             std::move(e.msg));
-      }
-    }
-    // CONGEST accounting alongside the sort: a v-private write per vertex,
-    // folded by max below — order-free, so the charge is thread-invariant.
-    std::vector<std::int64_t> edge_bits(
-        congest ? static_cast<std::size_t>(n) : 0, 0);
-    pool_->parallel_for(0, n, [&](int v) {
-      sort_inbox(inboxes[static_cast<std::size_t>(v)]);
-      if (congest) {
-        edge_bits[static_cast<std::size_t>(v)] =
-            max_edge_bits_in_inbox(inboxes[static_cast<std::size_t>(v)]);
+    // Send: contiguous sender ranges, each staged by its chunk in sender
+    // order (one chunk, on the calling thread, without a pool).
+    const int num_chunks = chunk_count(n);
+    std::vector<SendChunk>& chunks = send_chunks_[0];
+    prepare_chunks(chunks, num_chunks);
+    pooled_ranges(pool_, 0, n, [&](int c, int lo, int hi) {
+      for (int v = lo; v < hi; ++v) {
+        stage(send, v, chunks[static_cast<std::size_t>(c)]);
       }
     });
-    std::int64_t max_edge_bits = 0;
-    for (std::int64_t b : edge_bits) max_edge_bits = std::max(max_edge_bits, b);
-
-    // Barrier 2: parallel receive; each node touches only its own state.
-    pool_->parallel_for(0, n, [&](int v) {
-      receive(v, states_[static_cast<std::size_t>(v)],
-              inboxes[static_cast<std::size_t>(v)]);
-    });
-    ledger_.charge_message_round(max_edge_bits, phase_);
+    // Merge: chunk order == ascending sender order, so the scatter leaves
+    // every inbox sorted.
+    InboxArena& arena = arenas_[0];
+    arena.start(n);
+    for (int c = 0; c < num_chunks; ++c) {
+      for (const Envelope& e : chunks[static_cast<std::size_t>(c)].staged) {
+        arena.count(e.to);
+      }
+    }
+    arena.layout();
+    for (int c = 0; c < num_chunks; ++c) {
+      for (Envelope& e : chunks[static_cast<std::size_t>(c)].staged) {
+        arena.place(e.to, e.from, std::move(e.msg));
+      }
+    }
+    ledger_.charge_message_round(receive_arena(arena, 0, receive), phase_);
   }
 
  private:
-  struct Envelope {
-    int to;
-    int from;
-    Msg msg;
+  using Envelope = typename Mailbox<Msg>::Envelope;
+
+  // One send chunk's buffers, kept across rounds: the outbox handed to
+  // send() (cleared per sender) and the chunk's envelopes in sender order.
+  struct SendChunk {
+    Outbox out;
+    std::vector<Envelope> staged;
+  };
+
+  // One destination range's inboxes for one round, flat: inbox i is
+  // items[off[i], off[i + 1]). Built by a counting pass over destinations
+  // (count), a prefix sum (layout) and a scatter in merge order (place);
+  // both vectors keep their capacity across rounds.
+  struct InboxArena {
+    std::vector<std::size_t> off;
+    std::vector<std::pair<int, Msg>> items;
+
+    void start(int count) { off.assign(static_cast<std::size_t>(count) + 1, 0); }
+    void count(int i) { ++off[static_cast<std::size_t>(i) + 1]; }
+    // Counts -> starts, shifted one slot right: off[i + 1] becomes inbox
+    // i's first index, and place() advances it to inbox i's end, which is
+    // inbox i + 1's start.
+    void layout() {
+      std::size_t run = 0;
+      for (std::size_t i = 1; i < off.size(); ++i) {
+        const std::size_t c = off[i];
+        off[i] = run;
+        run += c;
+      }
+      items.resize(run);
+    }
+    void place(int i, int from, Msg&& msg) {
+      auto& slot = items[off[static_cast<std::size_t>(i) + 1]++];
+      slot.first = from;
+      slot.second = std::move(msg);
+    }
+    int size() const { return static_cast<int>(off.size()) - 1; }
+    std::span<std::pair<int, Msg>> inbox(int i) {
+      const std::size_t lo = off[static_cast<std::size_t>(i)];
+      return {items.data() + lo, off[static_cast<std::size_t>(i) + 1] - lo};
+    }
   };
 
   // Global vertex id -> index into states_. The identity except under
@@ -250,127 +264,137 @@ class ParallelSyncEngine {
     return static_cast<std::size_t>(i);
   }
 
-  // Fast-mode chunked round (see file comment). Barrier 1 stages envelopes
-  // bucketed by *destination* range; barrier 2 runs one chunk per
-  // destination bucket that delivers, folds CONGEST bits and receives — no
-  // stable sender sort, no separate merge/receive barriers. Inbox order is
-  // staging-bucket order (arbitrary under perturbation), which is exactly
-  // the relaxation fast mode buys; the CONGEST per-edge tally and max fold
-  // are order-free, so charges match the deterministic path.
-  void round_fast_chunked(const SendFn& send, const RecvFn& receive,
-                          std::vector<Inbox>& inboxes, bool congest) {
-    const int n = graph_.num_vertices();
-    const int send_chunks = std::max(1, pool_->num_range_chunks(n));
-    const int dest_chunks = send_chunks;
-    // bounds[d] .. bounds[d+1]: destination bucket d, cut with the same
-    // lo = n*c/chunks formula parallel_ranges uses. Bucket lookup is a
-    // binary search because the inverse formula does not round-trip for
-    // non-divisible n.
-    std::vector<int> bounds(static_cast<std::size_t>(dest_chunks) + 1);
-    for (int d = 0; d <= dest_chunks; ++d) {
-      bounds[static_cast<std::size_t>(d)] =
-          static_cast<int>(static_cast<std::int64_t>(n) * d / dest_chunks);
+  // Chunks a sweep over `count` items is cut into: the pool's own
+  // num_range_chunks (so pre-sized buffers match what pooled_ranges
+  // dispatches), 1 without a pool.
+  int chunk_count(int count) const {
+    return pool_ != nullptr ? std::max(1, pool_->num_range_chunks(count)) : 1;
+  }
+
+  static void prepare_chunks(std::vector<SendChunk>& chunks, int num_chunks) {
+    if (chunks.size() < static_cast<std::size_t>(num_chunks)) {
+      chunks.resize(static_cast<std::size_t>(num_chunks));
     }
+    for (int c = 0; c < num_chunks; ++c) {
+      chunks[static_cast<std::size_t>(c)].staged.clear();
+    }
+  }
 
-    // Barrier 1: parallel send, each chunk staging into dest-bucket-private
-    // buffers (chunk-private writes; no two chunks touch the same buffer).
-    std::vector<std::vector<std::vector<Envelope>>> staged(
-        static_cast<std::size_t>(send_chunks),
-        std::vector<std::vector<Envelope>>(
-            static_cast<std::size_t>(dest_chunks)));
-    pool_->parallel_ranges(0, n, [&](int chunk, int lo, int hi) {
-      auto& buckets = staged[static_cast<std::size_t>(chunk)];
-      for (int v = lo; v < hi; ++v) {
-        for (auto& [to, msg] : send(v, states_[static_cast<std::size_t>(v)])) {
-          DC_REQUIRE(graph_.has_edge(v, to),
-                     "LOCAL model: messages only travel along edges");
-          const int d = static_cast<int>(std::upper_bound(bounds.begin(),
-                                                          bounds.end(), to) -
-                                         bounds.begin()) -
-                        1;
-          buckets[static_cast<std::size_t>(d)].push_back(
-              Envelope{to, v, std::move(msg)});
-        }
-      }
+  // Runs send for v into the cleared `out` and hands every message to
+  // sink(to, msg) after the LOCAL-model edge check.
+  template <typename Sink>
+  void send_from(const SendFn& send, int v, Outbox& out, const Sink& sink) {
+    out.clear();
+    send(v, state(v), out);
+    for (auto& [to, msg] : out) {
+      DC_REQUIRE(graph_.has_edge(v, to),
+                 "LOCAL model: messages only travel along edges");
+      sink(to, msg);
+    }
+  }
+
+  // Sends for v into `chunk`'s staging buffer.
+  void stage(const SendFn& send, int v, SendChunk& chunk) {
+    send_from(send, v, chunk.out, [&](int to, Msg& msg) {
+      chunk.staged.push_back(Envelope{to, v, std::move(msg)});
     });
+  }
 
-    // Barrier 2: one chunk per destination bucket fuses merge + CONGEST
-    // fold + receive. Every inbox in [bounds[d], bounds[d+1]) is d-private,
-    // so the delivery writes race with nothing.
-    std::vector<std::int64_t> bucket_bits(
-        congest ? static_cast<std::size_t>(dest_chunks) : 0, 0);
-    pool_->parallel_chunks(dest_chunks, [&](int d) {
-      for (int sc = 0; sc < send_chunks; ++sc) {
-        for (auto& e : staged[static_cast<std::size_t>(sc)]
-                             [static_cast<std::size_t>(d)]) {
-          inboxes[static_cast<std::size_t>(e.to)].emplace_back(
-              e.from, std::move(e.msg));
+  // The receive sweep over a merged arena whose inbox i belongs to the
+  // vertex at layout position base + i. Per inbox, in one pass: the
+  // deterministic-mode stable sort by sender, run only when the merge left
+  // the inbox out of order (a renumbered partition's shard-major merge; the
+  // sort keeps ties in emission order because each sender's messages to one
+  // destination sit in one slot in emission order), the CONGEST load, and
+  // receive. Every step touches only inbox i and state i, so one barrier
+  // does all three. Returns the heaviest directed edge's bits (0 outside
+  // CONGEST mode); the max fold is order-free, so the charge is
+  // (shards, threads)-invariant.
+  std::int64_t receive_arena(InboxArena& arena, int base,
+                             const RecvFn& receive) {
+    const int count = arena.size();
+    const bool congest = ledger_.congest_bits() > 0;
+    const bool sort = mode_ == ExecutionMode::kDeterministic;
+    std::vector<std::int64_t> chunk_bits(
+        static_cast<std::size_t>(chunk_count(count)), 0);
+    const auto by_sender = [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    };
+    pooled_ranges(pool_, 0, count, [&](int c, int lo, int hi) {
+      std::int64_t heaviest = 0;
+      for (int i = lo; i < hi; ++i) {
+        const auto inbox = arena.inbox(i);
+        if (sort && !std::is_sorted(inbox.begin(), inbox.end(), by_sender)) {
+          std::stable_sort(inbox.begin(), inbox.end(), by_sender);
         }
-      }
-      std::int64_t local_max = 0;
-      for (int v = bounds[static_cast<std::size_t>(d)];
-           v < bounds[static_cast<std::size_t>(d) + 1]; ++v) {
-        Inbox& inbox = inboxes[static_cast<std::size_t>(v)];
         if (congest) {
-          local_max = std::max(local_max, max_edge_bits_in_inbox(inbox));
+          heaviest = std::max(heaviest, max_edge_bits_in_inbox(Inbox(inbox)));
         }
-        receive(v, states_[static_cast<std::size_t>(v)], inbox);
+        const int v =
+            shards_ != nullptr ? shards_->partition().vertex_at(base + i) : i;
+        receive(v, states_[owner_dist_ ? static_cast<std::size_t>(i)
+                                       : static_cast<std::size_t>(v)],
+                inbox);
       }
-      if (congest) bucket_bits[static_cast<std::size_t>(d)] = local_max;
+      chunk_bits[static_cast<std::size_t>(c)] = heaviest;
     });
     std::int64_t max_edge_bits = 0;
-    for (std::int64_t b : bucket_bits) {
-      max_edge_bits = std::max(max_edge_bits, b);
-    }
-    ledger_.charge_message_round(max_edge_bits, phase_);
+    for (std::int64_t b : chunk_bits) max_edge_bits = std::max(max_edge_bits, b);
+    return max_edge_bits;
   }
 
-  // Stable by design: every staging path (serial deliver, chunk replay,
-  // mailbox slot drain) presents one sender's messages to one destination in
-  // emission order, so a *stable* sort by sender yields "ascending sender,
-  // ties in emission order" — the serial fill order — no matter how the
-  // pre-sort concatenation was arranged. This is what makes renumbered
-  // (non-ascending-range) partitions merge identically to contiguous ones
-  // (DESIGN.md §6).
-  static void sort_inbox(Inbox& inbox) {
-    std::stable_sort(
-        inbox.begin(), inbox.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-  }
-
-  void deliver(int from, Outbox&& out, std::vector<Inbox>& inboxes) {
-    for (auto& [to, msg] : out) {
-      DC_REQUIRE(graph_.has_edge(from, to),
-                 "LOCAL model: messages only travel along edges");
-      inboxes[static_cast<std::size_t>(to)].emplace_back(from, std::move(msg));
-    }
-  }
-
-  // Sends for the contiguous sender range [lo, hi) into `buf`, in sender
-  // order (the staging primitive of the chunked strategy).
-  void stage_range(const SendFn& send, int lo, int hi,
-                   std::vector<Envelope>& buf) {
-    for (int v = lo; v < hi; ++v) {
-      for (auto& [to, msg] : send(v, states_[static_cast<std::size_t>(v)])) {
-        DC_REQUIRE(graph_.has_edge(v, to),
-                   "LOCAL model: messages only travel along edges");
-        buf.push_back(Envelope{to, v, std::move(msg)});
+  // Merges destination shard d's mailbox column in ascending source-shard
+  // order into `arena` (indexed by layout offset within d), reading every
+  // slot in place, then runs the receive sweep over d's owned vertices.
+  std::int64_t merge_column(int d, InboxArena& arena, Mailbox<Msg>& mailbox,
+                            const RecvFn& receive) {
+    const VertexPartition& part = shards_->partition();
+    const int num_shards = part.num_shards();
+    const int base = part.begin(d);
+    arena.start(part.size(d));
+    for (int s = 0; s < num_shards; ++s) {
+      for (const auto& e : mailbox.slot(s, d)) {
+        arena.count(part.position_of(e.to) - base);
       }
     }
+    arena.layout();
+    for (int s = 0; s < num_shards; ++s) {
+      for (auto& e : mailbox.slot(s, d)) {
+        arena.place(part.position_of(e.to) - base, e.from, std::move(e.msg));
+      }
+    }
+    return receive_arena(arena, base, receive);
   }
 
-  // Sends for the owned-index range [ilo, ihi) of a shard view into `buf`,
-  // in ascending owned order (== ascending original sender id; the sharded
-  // strategy's staging primitive — identical to stage_range over
-  // [begin, end) when the partition is contiguous).
-  void stage_owned(const SendFn& send, const GraphView& view, int ilo,
-                   int ihi, std::vector<Envelope>& buf) {
-    for (int i = ilo; i < ihi; ++i) {
-      const int v = view.owned_vertex(i);
-      for (auto& [to, msg] : send(v, state(v))) {
-        DC_REQUIRE(graph_.has_edge(v, to),
-                   "LOCAL model: messages only travel along edges");
-        buf.push_back(Envelope{to, v, std::move(msg)});
+  // Source shard s's send sweep, posting into its mailbox row in ascending
+  // owned order — ascending original sender id under every partition,
+  // because owned lists ascend by construction (graph/partition.cpp). A
+  // one-chunk sweep posts straight from the outbox; a chunked one stages
+  // per chunk and replays chunk-major, which keeps sender order.
+  void send_shard(const SendFn& send, int s, Mailbox<Msg>& mailbox) {
+    const GraphView& view = shards_->view(s);
+    const int count = view.num_owned();
+    const int num_chunks = chunk_count(count);
+    std::vector<SendChunk>& chunks = send_chunks_[static_cast<std::size_t>(s)];
+    prepare_chunks(chunks, num_chunks);
+    if (num_chunks == 1) {
+      Outbox& out = chunks[0].out;
+      for (int i = 0; i < count; ++i) {
+        const int v = view.owned_vertex(i);
+        send_from(send, v, out, [&](int to, Msg& msg) {
+          mailbox.post(s, v, to, std::move(msg));
+        });
+      }
+      return;
+    }
+    pooled_ranges(pool_, 0, count, [&](int c, int lo, int hi) {
+      for (int i = lo; i < hi; ++i) {
+        stage(send, view.owned_vertex(i), chunks[static_cast<std::size_t>(c)]);
+      }
+    });
+    for (int c = 0; c < num_chunks; ++c) {
+      for (Envelope& e : chunks[static_cast<std::size_t>(c)].staged) {
+        mailbox.post(s, e.from, e.to, std::move(e.msg));
       }
     }
   }
@@ -384,7 +408,7 @@ class ParallelSyncEngine {
   // processes. The staged row is then serialized slot by slot (WireCodec,
   // net/wire_codec.h), all-gathered over the wire, and the remote rows are
   // installed with Mailbox::fill. From that point the round is replicated:
-  // every rank drains the complete mailbox in the same shard-major order and
+  // every rank merges the complete mailbox in the same shard-major order and
   // applies receive to every vertex, so each rank's global state — and hence
   // every subsequent send, coin flip and termination test — stays
   // bit-identical to the in-process run (DESIGN.md §6, "the socket
@@ -392,50 +416,21 @@ class ParallelSyncEngine {
   // merge order, because the order never depended on *where* a slot's bytes
   // came from).
   void round_sharded(const SendFn& send, const RecvFn& receive) {
-    const int n = graph_.num_vertices();
     const int num_shards = shards_->num_shards();
-    const bool congest = ledger_.congest_bits() > 0;
     Transport& transport = shards_->transport();
     const int local = local_shard_;
     Mailbox<Msg>& mailbox = *mailbox_;
     mailbox.clear();
 
-    // Barrier 1: each source shard stages its owned vertices (chunked on
-    // the pool, nested region) and posts into its mailbox row in ascending
-    // owned order — ascending original sender id under every partition,
-    // because owned lists ascend by construction (graph/partition.cpp).
-    transport.run_shards([&](int s) {
-      const GraphView& view = shards_->view(s);
-      const int count = view.num_owned();
-      const int num_chunks =
-          pool_ != nullptr ? pool_->num_range_chunks(count) : 1;
-      std::vector<std::vector<Envelope>> staged(
-          static_cast<std::size_t>(std::max(1, num_chunks)));
-      pooled_ranges(pool_, 0, count, [&](int chunk, int clo, int chi) {
-        stage_owned(send, view, clo, chi,
-                    staged[static_cast<std::size_t>(chunk)]);
-      });
-      // Chunk ranges ascend, so replaying chunk-major keeps sender order.
-      for (auto& buf : staged) {
-        for (auto& e : buf) {
-          mailbox.post(s, e.from, e.to, std::move(e.msg));
-        }
-      }
-    });
+    // Barrier 1: each source shard runs its send sweep into its mailbox row.
+    transport.run_shards([&](int s) { send_shard(send, s, mailbox); });
 
     // Owner-compute distributed rounds diverge here: point-to-point
     // exchange, rank-local merge + receive (see round_owner_distributed).
     if (owner_dist_) {
-      round_owner_distributed(receive, congest, num_shards, transport,
-                              mailbox);
+      round_owner_distributed(receive, num_shards, transport, mailbox);
       return;
     }
-
-    std::vector<Inbox> inboxes(static_cast<std::size_t>(n));
-    // Per-vertex CONGEST loads: each destination shard writes only its owned
-    // range (shard-private), the fold below runs after the barrier.
-    std::vector<std::int64_t> edge_bits(
-        congest ? static_cast<std::size_t>(n) : 0, 0);
 
     // Distributed exchange: serialize the local row, all-gather the bytes
     // (this is the inter-rank barrier), fill every remote row from the wire.
@@ -459,67 +454,39 @@ class ParallelSyncEngine {
         for (int d = 0; d < num_shards; ++d) {
           mailbox.fill(
               s, d,
-              decode_slot<Msg, typename Mailbox<Msg>::Envelope>(
+              decode_slot<Msg, Envelope>(
                   rows[static_cast<std::size_t>(s)][static_cast<std::size_t>(d)]));
         }
       }
     }
     transport.exchange();
 
-    // Barrier 2: each destination shard drains its mailbox column in
-    // ascending source-shard order (= ascending sender order, because the
-    // partition's ranges ascend), then sorts and receives its owned range.
-    // Distributed ranks replay this for every shard (replicated merge +
-    // receive — see the strategy comment above), in ascending shard order on
-    // the calling thread.
+    // Barrier 2: each destination shard merges its mailbox column in
+    // ascending source-shard order into its arena and receives its owned
+    // range. Distributed ranks replay this for every shard (replicated
+    // merge + receive — see the strategy comment above), in ascending shard
+    // order on the calling thread.
     // In-process owner-routed runs have no wire to save bytes on, but honor
     // the policy's codec discipline hermetically: every CROSS-shard slot
-    // round-trips through encode/decode during the drain (the diagonal
+    // round-trips through encode/decode before the merge (the diagonal
     // stays codec-free, exactly the owner-compute invariant), so the zoo
     // differential covers both policies without sockets. decode_slot
-    // replays post order, so the merge below is untouched.
+    // replays post order, so the merge is untouched.
     const bool codec_roundtrip =
         policy_ == ExchangePolicy::kOwnerRouted && local < 0;
+    std::vector<std::int64_t> shard_bits(static_cast<std::size_t>(num_shards),
+                                         0);
     const auto receive_shard = [&](int d) {
-      const GraphView& view = shards_->view(d);
-      for (int s = 0; s < num_shards; ++s) {
-        auto envelopes = mailbox.drain(s, d);
-        if (codec_roundtrip && s != d) {
-          envelopes = decode_slot<Msg, typename Mailbox<Msg>::Envelope>(
-              encode_slot<Msg>(envelopes));
-        }
-        for (auto& e : envelopes) {
-          inboxes[static_cast<std::size_t>(e.to)].emplace_back(
-              e.from, std::move(e.msg));
+      if (codec_roundtrip) {
+        for (int s = 0; s < num_shards; ++s) {
+          if (s == d) continue;
+          auto& slot = mailbox.slot(s, d);
+          slot = decode_slot<Msg, Envelope>(
+              encode_slot<Msg>(slot));
         }
       }
-      if (mode_ == ExecutionMode::kFast) {
-        // Fast mode: no sender sort; CONGEST fold fused into the receive
-        // sweep (one pooled pass per shard instead of two).
-        pooled_for(pool_, 0, view.num_owned(), [&](int i) {
-          const int v = view.owned_vertex(i);
-          if (congest) {
-            edge_bits[static_cast<std::size_t>(v)] =
-                max_edge_bits_in_inbox(inboxes[static_cast<std::size_t>(v)]);
-          }
-          receive(v, states_[static_cast<std::size_t>(v)],
-                  inboxes[static_cast<std::size_t>(v)]);
-        });
-        return;
-      }
-      pooled_for(pool_, 0, view.num_owned(), [&](int i) {
-        const int v = view.owned_vertex(i);
-        sort_inbox(inboxes[static_cast<std::size_t>(v)]);
-        if (congest) {
-          edge_bits[static_cast<std::size_t>(v)] =
-              max_edge_bits_in_inbox(inboxes[static_cast<std::size_t>(v)]);
-        }
-      });
-      pooled_for(pool_, 0, view.num_owned(), [&](int i) {
-        const int v = view.owned_vertex(i);
-        receive(v, states_[static_cast<std::size_t>(v)],
-                inboxes[static_cast<std::size_t>(v)]);
-      });
+      shard_bits[static_cast<std::size_t>(d)] = merge_column(
+          d, arenas_[static_cast<std::size_t>(d)], mailbox, receive);
     };
     if (local >= 0) {
       for (int d = 0; d < num_shards; ++d) receive_shard(d);
@@ -528,21 +495,20 @@ class ParallelSyncEngine {
     }
 
     // Volume + CONGEST folds on the calling thread (the tallies are
-    // accumulated at post/fill time, so they survive the drains above). The
-    // max fold is order-free, so the charge is (shards, threads)-invariant.
+    // accumulated at post/fill time).
     shards_->record_round(mailbox.slot_counts(), mailbox.slot_bits());
     std::int64_t max_edge_bits = 0;
-    for (std::int64_t b : edge_bits) max_edge_bits = std::max(max_edge_bits, b);
+    for (std::int64_t b : shard_bits) max_edge_bits = std::max(max_edge_bits, b);
     ledger_.charge_message_round(max_edge_bits, phase_);
   }
 
   // The owner-compute continuation of round_sharded (after Barrier 1 has
-  // staged the local rank's row). Why rank-local merge cannot move a byte
+  // posted the local rank's row). Why rank-local merge cannot move a byte
   // (DESIGN.md §6, "Owner-compute"): shard d's inbox contents are exactly
   // the envelopes in column (*, d) — slots other ranks addressed to d plus
-  // d's own diagonal slot — and the shard-major stable merge orders them
-  // using only (source shard, emission position, sender id), never any
-  // other shard's local state. So merging ONLY the local column, with the
+  // d's own diagonal slot — and the shard-major merge orders them using
+  // only (source shard, emission position, sender id), never any other
+  // shard's local state. So merging ONLY the local column, with the
   // diagonal slot never serialized and the off-diagonal slots arriving
   // point-to-point, reproduces byte-for-byte the inboxes the replicated
   // replay would have produced for this shard — while per-rank merge work
@@ -550,12 +516,9 @@ class ParallelSyncEngine {
   // cross-shard payload. The piggybacked tally rows reassemble the full
   // S×S counters, so record_round and the CONGEST max fold (allreduce_max,
   // order-free) charge exactly what every other shape charges.
-  void round_owner_distributed(const RecvFn& receive, bool congest,
-                               int num_shards, Transport& transport,
-                               Mailbox<Msg>& mailbox) {
+  void round_owner_distributed(const RecvFn& receive, int num_shards,
+                               Transport& transport, Mailbox<Msg>& mailbox) {
     const int local = local_shard_;
-    const GraphView& view = shards_->view(local);
-    const int owned = view.num_owned();
 
     // Our posted row tallies ride along with the slots, so every rank can
     // rebuild the full matrix without a second collective.
@@ -584,50 +547,20 @@ class ParallelSyncEngine {
     for (int s = 0; s < num_shards; ++s) {
       if (s == local) continue;
       mailbox.fill(s, local,
-                   decode_slot<Msg, typename Mailbox<Msg>::Envelope>(
+                   decode_slot<Msg, Envelope>(
                        result.slots[static_cast<std::size_t>(s)]));
     }
     transport.exchange();
 
     // Rank-local merge + receive: only column (*, local), only owned
-    // inboxes — indexed by owned position, the same index states_ uses.
-    std::vector<Inbox> inboxes(static_cast<std::size_t>(owned));
-    std::vector<std::int64_t> edge_bits(
-        congest ? static_cast<std::size_t>(owned) : 0, 0);
-    for (int s = 0; s < num_shards; ++s) {
-      for (auto& e : mailbox.drain(s, local)) {
-        inboxes[state_index(e.to)].emplace_back(e.from, std::move(e.msg));
-      }
-    }
-    if (mode_ == ExecutionMode::kFast) {
-      // Fast mode: no sender sort; CONGEST fold fused into the receive.
-      pooled_for(pool_, 0, owned, [&](int i) {
-        if (congest) {
-          edge_bits[static_cast<std::size_t>(i)] =
-              max_edge_bits_in_inbox(inboxes[static_cast<std::size_t>(i)]);
-        }
-        receive(view.owned_vertex(i), states_[static_cast<std::size_t>(i)],
-                inboxes[static_cast<std::size_t>(i)]);
-      });
-    } else {
-      pooled_for(pool_, 0, owned, [&](int i) {
-        sort_inbox(inboxes[static_cast<std::size_t>(i)]);
-        if (congest) {
-          edge_bits[static_cast<std::size_t>(i)] =
-              max_edge_bits_in_inbox(inboxes[static_cast<std::size_t>(i)]);
-        }
-      });
-      pooled_for(pool_, 0, owned, [&](int i) {
-        receive(view.owned_vertex(i), states_[static_cast<std::size_t>(i)],
-                inboxes[static_cast<std::size_t>(i)]);
-      });
-    }
+    // inboxes — indexed by layout offset, the same index states_ uses.
+    const std::int64_t local_max =
+        merge_column(local, arenas_[0], mailbox, receive);
 
     shards_->record_round(result.slot_counts, result.slot_bits);
-    std::int64_t local_max = 0;
-    for (std::int64_t b : edge_bits) local_max = std::max(local_max, b);
-    const std::int64_t max_edge_bits =
-        congest ? transport.allreduce_max(local_max) : 0;
+    const std::int64_t max_edge_bits = ledger_.congest_bits() > 0
+                                           ? transport.allreduce_max(local_max)
+                                           : 0;
     ledger_.charge_message_round(max_edge_bits, phase_);
   }
 
@@ -642,6 +575,11 @@ class ParallelSyncEngine {
   bool owner_dist_ = false;  // owner-routed AND distributed: owned-only state
   int owned_base_ = 0;     // partition().begin(local) under owner-compute
   std::optional<Mailbox<Msg>> mailbox_;
+  // Round buffers, reused across rounds: per send shard (1 unsharded), one
+  // SendChunk per chunk; per merged destination shard (1 unsharded or
+  // owner-compute), one inbox arena.
+  std::vector<std::vector<SendChunk>> send_chunks_;
+  std::vector<InboxArena> arenas_;
   std::vector<State> states_;
 };
 

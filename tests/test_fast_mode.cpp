@@ -1,7 +1,7 @@
 // ExecutionMode::kFast cross-validation harness (runtime/execution_mode.h).
 //
 // Fast mode drops the replay/merge ordering the deterministic runtime pays
-// for — atomic frontier claiming, merge-on-arrival inboxes, first-come work
+// for — atomic frontier claiming, inboxes in merge order, first-come work
 // claiming, plain range-chunked sweeps — so its contract shrinks from
 // "bit-identical for every shape" to "a valid Delta-coloring". This suite is
 // that contract: every algorithm over the generator zoo, across the

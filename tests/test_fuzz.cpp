@@ -6,6 +6,7 @@
 // the messages actually posted.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -199,14 +200,13 @@ TEST_P(FuzzTest, ByteCountersConsistentWithPostedMessages) {
     ParallelSyncEngine<int, std::uint32_t> engine(g, ledger, "flood",
                                                   pool_ptr, &shards);
     engine.round(
-        [&g](int v, const int&) {
-          std::vector<std::pair<int, std::uint32_t>> out;
+        [&g](int v, const int&,
+             std::vector<std::pair<int, std::uint32_t>>& out) {
           for (int u : g.neighbors(v)) {
             out.push_back({u, static_cast<std::uint32_t>(v)});
           }
-          return out;
         },
-        [](int, int&, const std::vector<std::pair<int, std::uint32_t>>&) {});
+        [](int, int&, std::span<const std::pair<int, std::uint32_t>>) {});
 
     const std::string label = "trial " + std::to_string(trial) + " S=" +
                               std::to_string(num_shards) + " T=" +

@@ -58,14 +58,12 @@ TEST(SyncEngine, FloodFillMatchesBfs) {
   eng2.state(0).dist = 0;
   for (int t = 0; t < rounds; ++t) {
     eng2.round(
-        [&g, &eng2](int v, const State& s) {
-          SyncEngine<State, int>::Outbox out;
+        [&g](int v, const State& s, SyncEngine<State, int>::Outbox& out) {
           if (s.dist >= 0) {
             for (int u : g.neighbors(v)) out.emplace_back(u, s.dist + 1);
           }
-          return out;
         },
-        [](int, State& s, const SyncEngine<State, int>::Inbox& inbox) {
+        [](int, State& s, SyncEngine<State, int>::Inbox inbox) {
           for (const auto& [from, d] : inbox) {
             if (s.dist < 0 || d < s.dist) s.dist = d;
           }
@@ -84,12 +82,10 @@ TEST(SyncEngine, RejectsNonNeighborMessages) {
   SyncEngine<int, int> eng(g, ledger, "bad");
   EXPECT_THROW(
       eng.round(
-          [](int v, const int&) {
-            SyncEngine<int, int>::Outbox out;
+          [](int v, const int&, SyncEngine<int, int>::Outbox& out) {
             if (v == 0) out.emplace_back(3, 42);  // 3 is not a neighbor of 0
-            return out;
           },
-          [](int, int&, const SyncEngine<int, int>::Inbox&) {}),
+          [](int, int&, SyncEngine<int, int>::Inbox) {}),
       ContractViolation);
 }
 

@@ -5,17 +5,25 @@
 // Transport), message-volume accounting against GraphView cross-edge
 // counts, and the shard-placed ComponentScheduler.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
+#include <exception>
 #include <memory>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/generators.h"
 #include "graph/partition.h"
+#include "graph/renumber.h"
 #include "local/round_ledger.h"
+#include "local/sync_engine.h"
 #include "mis/luby_sync.h"
 #include "mis/mis.h"
+#include "net/socket_transport.h"
 #include "runtime/component_scheduler.h"
 #include "runtime/mailbox.h"
 #include "runtime/parallel_sync_engine.h"
@@ -78,12 +86,10 @@ TEST(ShardedEngine, FloodRoundDeliversExactlyTheAdjacency) {
     };
     ParallelSyncEngine<State, int> engine(g, ledger, "flood", &pool, &shards);
     engine.round(
-        [&g](int v, const State&) {
-          std::vector<std::pair<int, int>> out;
+        [&g](int v, const State&, std::vector<std::pair<int, int>>& out) {
           for (int u : g.neighbors(v)) out.push_back({u, v});
-          return out;
         },
-        [](int, State& s, const std::vector<std::pair<int, int>>& inbox) {
+        [](int, State& s, std::span<const std::pair<int, int>> inbox) {
           for (const auto& [from, msg] : inbox) {
             EXPECT_EQ(from, msg);
             s.heard.push_back(from);
@@ -272,21 +278,59 @@ TEST(Mailbox, FillOverLocallyPostedEnvelopesThrows) {
   EXPECT_THROW(mb.fill(0, 1, {Env{7, 1, 42}}), ContractViolation);
 }
 
-TEST(Mailbox, DrainEmptiesTheSlotButAccountingSurvives) {
+TEST(Mailbox, ClearEmptiesSlotsAndZeroesTallies) {
   const VertexPartition part = VertexPartition::contiguous(10, 2);
   Mailbox<int> mb(&part);
   mb.post(0, /*from=*/1, /*to=*/7, 42);
   mb.post(0, /*from=*/2, /*to=*/8, 43);
-  auto drained = mb.drain(0, 1);
-  ASSERT_EQ(drained.size(), 2u);
-  EXPECT_EQ(drained[0].msg, 42);
-  EXPECT_TRUE(mb.slot(0, 1).empty());
-  EXPECT_TRUE(mb.drain(0, 1).empty());  // second drain: nothing left
-  // record_round-style accounting still sees both envelopes.
   EXPECT_EQ(mb.slot_counts()[0 * 2 + 1], 2);
   EXPECT_EQ(mb.slot_bits()[0 * 2 + 1], 2 * 32);
   mb.clear();
+  EXPECT_TRUE(mb.slot(0, 1).empty());
   EXPECT_EQ(mb.slot_counts()[0 * 2 + 1], 0);
+  EXPECT_EQ(mb.slot_bits()[0 * 2 + 1], 0);
+}
+
+// fill() checks every envelope's addressing against the slot it fills: a
+// peer that ships an envelope whose `to` another shard owns, or whose
+// `from` is not the source shard's, would otherwise hand receive() a
+// foreign sender id. The slot is named in the error and left unfilled.
+TEST(Mailbox, FillRejectsMisaddressedEnvelopes) {
+  // Renumbered partition over 6 vertices, 2 shards: shard 0 owns {1, 3, 5},
+  // shard 1 owns {0, 2, 4}.
+  const auto to_old = std::make_shared<const std::vector<int>>(
+      std::vector<int>{1, 3, 5, 0, 2, 4});
+  auto to_new_vec = std::vector<int>(6);
+  for (int p = 0; p < 6; ++p) to_new_vec[(*to_old)[p]] = p;
+  const auto to_new =
+      std::make_shared<const std::vector<int>>(std::move(to_new_vec));
+  const VertexPartition part = VertexPartition::renumbered(2, to_new, to_old);
+  ASSERT_EQ(part.shard_of(1), 0);
+  ASSERT_EQ(part.shard_of(0), 1);
+  using Env = Mailbox<int>::Envelope;
+  const auto fill_error = [&](std::vector<Env> slot) -> std::string {
+    Mailbox<int> mb(&part);
+    try {
+      mb.fill(0, 1, std::move(slot));
+    } catch (const WireError& e) {
+      // The rejected slot is not installed, and nothing was tallied.
+      EXPECT_TRUE(mb.slot(0, 1).empty());
+      EXPECT_EQ(mb.slot_counts()[0 * 2 + 1], 0);
+      return e.what();
+    }
+    return "";
+  };
+  // Well addressed: 3 (shard 0) -> 2 (shard 1).
+  EXPECT_EQ(fill_error({Env{2, 3, 7}}), "");
+  // `to` owned by the source shard, not the destination.
+  EXPECT_NE(fill_error({Env{2, 3, 7}, Env{5, 3, 8}}).find("slot (0, 1)"),
+            std::string::npos);
+  // In-range but foreign `from` (4 is shard 1's) — the Luby tie-break
+  // would read it as a real sender.
+  EXPECT_NE(fill_error({Env{0, 4, 9}}).find("slot (0, 1)"), std::string::npos);
+  // Out-of-range ids.
+  EXPECT_NE(fill_error({Env{6, 3, 1}}), "");
+  EXPECT_NE(fill_error({Env{2, -1, 1}}), "");
 }
 
 // --- the owner-routed encode surface (ExchangePolicy::kOwnerRouted) --------
@@ -365,6 +409,182 @@ TEST(ShardedEngine, LubyOwnerPolicyBitIdenticalInProcess) {
                                    << " threads, B=" << bits;
         EXPECT_EQ(ledger.total(), golden_rounds)
             << num_shards << " shards, " << threads << " threads, B=" << bits;
+      }
+    }
+  }
+}
+
+// --- the inbox-order contract ------------------------------------------------
+
+// Every node sends two messages to each neighbor per round — a pass of even
+// payloads to all neighbors, then a pass of odd ones — so each (sender,
+// receiver) pair is a tie that must keep emission order. receive() records
+// its inbox verbatim, so a node's record is the exact sequence it was
+// handed, and the id it was called with, which must be the id whose state
+// it was handed.
+struct OrderState {
+  std::vector<std::pair<int, int>> heard;
+  int received_as = -1;
+};
+
+template <typename Engine>
+void run_order_rounds(Engine& engine, const Graph& g) {
+  for (int round = 0; round < 2; ++round) {
+    engine.round(
+        [&g, round](int v, const OrderState&, typename Engine::Outbox& out) {
+          for (int u : g.neighbors(v)) out.push_back({u, 4 * v + 2 * round});
+          for (int u : g.neighbors(v)) {
+            out.push_back({u, 4 * v + 2 * round + 1});
+          }
+        },
+        [](int v, OrderState& s, typename Engine::Inbox inbox) {
+          s.heard.insert(s.heard.end(), inbox.begin(), inbox.end());
+          s.received_as = v;
+        });
+  }
+}
+
+// `world` SocketTransport ranks over a full socketpair mesh, one runtime
+// each over `part`, owner-routed.
+std::vector<std::unique_ptr<ShardRuntime>> socket_mesh(
+    const Graph& g, const VertexPartition& part) {
+  const int world = part.num_shards();
+  std::vector<std::vector<int>> fds(static_cast<std::size_t>(world),
+                                    std::vector<int>(world, -1));
+  for (int a = 0; a < world; ++a) {
+    for (int b = a + 1; b < world; ++b) {
+      int sv[2];
+      if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
+        ADD_FAILURE() << "socketpair failed";
+        return {};
+      }
+      fds[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] = sv[0];
+      fds[static_cast<std::size_t>(b)][static_cast<std::size_t>(a)] = sv[1];
+    }
+  }
+  std::vector<std::unique_ptr<ShardRuntime>> runtimes;
+  for (int r = 0; r < world; ++r) {
+    runtimes.push_back(std::make_unique<ShardRuntime>(
+        g, part, nullptr,
+        std::make_unique<SocketTransport>(
+            r, world, std::move(fds[static_cast<std::size_t>(r)]))));
+    runtimes.back()->set_exchange_policy(ExchangePolicy::kOwnerRouted);
+  }
+  return runtimes;
+}
+
+TEST(ShardedEngine, InboxOrderContractOnEveryPath) {
+  Rng grng(17);
+  const Graph g = random_regular(1200, 5, grng);
+  const int n = g.num_vertices();
+
+  // The reference: SyncEngine's per-vertex vectors and stable sort.
+  RoundLedger ref_ledger;
+  SyncEngine<OrderState, int> ref(g, ref_ledger, "order");
+  run_order_rounds(ref, g);
+  for (int v = 0; v < n; ++v) {
+    const auto& heard = ref.state(v).heard;
+    ASSERT_EQ(heard.size(), 4 * g.neighbors(v).size()) << "node " << v;
+    // Per round: ascending senders, each sender's even payload before its
+    // odd one.
+    for (std::size_t r = 0; r < 2; ++r) {
+      const std::size_t lo = r * heard.size() / 2;
+      for (std::size_t i = lo + 1; i < lo + heard.size() / 2; ++i) {
+        const auto& [a_from, a_msg] = heard[i - 1];
+        const auto& [b_from, b_msg] = heard[i];
+        EXPECT_TRUE(a_from < b_from || (a_from == b_from && a_msg < b_msg))
+            << "node " << v << " position " << i;
+      }
+    }
+  }
+
+  const auto expect_matches = [&](const auto& engine, int v,
+                                  const std::string& label) {
+    EXPECT_EQ(engine.state(v).heard, ref.state(v).heard)
+        << label << ", node " << v;
+    EXPECT_EQ(engine.state(v).received_as, v) << label;
+  };
+  const auto check_all = [&](const auto& engine, const std::string& label) {
+    for (int v = 0; v < n; ++v) expect_matches(engine, v, label);
+  };
+  using Engine = ParallelSyncEngine<OrderState, int>;
+  ThreadPool pool(8);
+
+  {
+    RoundLedger ledger;
+    Engine serial(g, ledger, "order");
+    run_order_rounds(serial, g);
+    check_all(serial, "serial");
+  }
+  {
+    RoundLedger ledger;
+    Engine chunked(g, ledger, "order", &pool);
+    run_order_rounds(chunked, g);
+    check_all(chunked, "T=8 chunked");
+  }
+
+  for (int num_shards : {2, 3, 4}) {
+    for (PartitionStrategy strategy :
+         {PartitionStrategy::kContiguous, PartitionStrategy::kCluster}) {
+      const VertexPartition part = make_partition(g, num_shards, strategy);
+      std::string shape = "S=";
+      shape += std::to_string(num_shards);
+      shape += ' ';
+      shape += partition_strategy_name(strategy);
+      if (strategy == PartitionStrategy::kCluster) {
+        // The premise: the shard-major merge really leaves some inbox out
+        // of sender order, so the stable-sort fallback runs.
+        bool out_of_order = false;
+        for (int v = 0; v < n && !out_of_order; ++v) {
+          int prev_shard = -1;
+          for (int u : g.neighbors(v)) {
+            if (part.shard_of(u) < prev_shard) out_of_order = true;
+            prev_shard = std::max(prev_shard, part.shard_of(u));
+          }
+        }
+        EXPECT_TRUE(out_of_order) << shape;
+      }
+      for (ExchangePolicy policy :
+           {ExchangePolicy::kReplicated, ExchangePolicy::kOwnerRouted}) {
+        for (ThreadPool* pool_ptr : {static_cast<ThreadPool*>(nullptr), &pool}) {
+          ShardRuntime runtime(g, part, pool_ptr);
+          runtime.set_exchange_policy(policy);
+          RoundLedger ledger;
+          Engine sharded(g, ledger, "order", pool_ptr, &runtime);
+          run_order_rounds(sharded, g);
+          check_all(sharded, shape + " in-process policy " +
+                                 std::to_string(static_cast<int>(policy)) +
+                                 (pool_ptr == nullptr ? " T=1" : " T=8"));
+        }
+      }
+
+      // Owner-routed socket ranks: each rank checks the vertices it owns.
+      auto runtimes = socket_mesh(g, part);
+      ASSERT_EQ(static_cast<int>(runtimes.size()), num_shards);
+      std::vector<std::exception_ptr> errors(
+          static_cast<std::size_t>(num_shards));
+      std::vector<std::thread> threads;
+      for (int r = 0; r < num_shards; ++r) {
+        threads.emplace_back([&, r] {
+          try {
+            RoundLedger ledger;
+            Engine rank(g, ledger, "order", nullptr,
+                        runtimes[static_cast<std::size_t>(r)].get());
+            run_order_rounds(rank, g);
+            EXPECT_TRUE(rank.owner_local_state());
+            const GraphView& view = runtimes[static_cast<std::size_t>(r)]->view(r);
+            for (int i = 0; i < view.num_owned(); ++i) {
+              expect_matches(rank, view.owned_vertex(i),
+                             shape + " socket rank " + std::to_string(r));
+            }
+          } catch (...) {
+            errors[static_cast<std::size_t>(r)] = std::current_exception();
+          }
+        });
+      }
+      for (auto& t : threads) t.join();
+      for (auto& e : errors) {
+        if (e) std::rethrow_exception(e);
       }
     }
   }

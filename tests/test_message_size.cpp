@@ -56,13 +56,15 @@ TEST(MessageSize, MaxEdgeBitsInInboxTakesHeaviestSenderRun) {
   // is that directed edge's load, and the max over runs is the value the
   // CONGEST charge divides by B.
   using Inbox = std::vector<std::pair<int, std::uint64_t>>;
-  EXPECT_EQ(max_edge_bits_in_inbox(Inbox{}), 0);
-  EXPECT_EQ(max_edge_bits_in_inbox(Inbox{{3, 1}}), 64);
+  const auto heaviest = [](const Inbox& inbox) {
+    return max_edge_bits_in_inbox<std::uint64_t>(inbox);
+  };
+  EXPECT_EQ(heaviest(Inbox{}), 0);
+  EXPECT_EQ(heaviest(Inbox{{3, 1}}), 64);
   // Sender 1 sent one message (64 bits), sender 4 sent three (192 bits).
-  EXPECT_EQ(max_edge_bits_in_inbox(Inbox{{1, 9}, {4, 1}, {4, 2}, {4, 3}}),
-            192);
+  EXPECT_EQ(heaviest(Inbox{{1, 9}, {4, 1}, {4, 2}, {4, 3}}), 192);
   // The heaviest run may be first: order of runs must not matter.
-  EXPECT_EQ(max_edge_bits_in_inbox(Inbox{{0, 1}, {0, 2}, {7, 5}}), 128);
+  EXPECT_EQ(heaviest(Inbox{{0, 1}, {0, 2}, {7, 5}}), 128);
 }
 
 TEST(MessageSize, MailboxTalliesBitsAtPostTime) {

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -165,7 +167,7 @@ TEST(ParallelSyncEngine, MatchesSyncEngineRoundForRound) {
   const int n = g.num_vertices();
 
   struct State {
-    int sum = 0;
+    std::uint32_t sum = 0;  // unsigned: the hash wraps by design
   };
   using Msg = int;
   // Every node repeatedly sends its id+round to all neighbors and sums what
@@ -177,14 +179,16 @@ TEST(ParallelSyncEngine, MatchesSyncEngineRoundForRound) {
   ParallelSyncEngine<State, Msg> parallel(g, ledger_b, "p", &pool);
 
   for (int round = 0; round < 5; ++round) {
-    const auto send = [&](int v, const State&) {
-      std::vector<std::pair<int, Msg>> out;
+    const auto send = [&](int v, const State&,
+                          std::vector<std::pair<int, Msg>>& out) {
       for (int u : g.neighbors(v)) out.push_back({u, v * 31 + round});
-      return out;
     };
     const auto recv = [](int, State& s,
-                         const std::vector<std::pair<int, Msg>>& inbox) {
-      for (const auto& [from, m] : inbox) s.sum = s.sum * 13 + from + m;
+                         std::span<const std::pair<int, Msg>> inbox) {
+      for (const auto& [from, m] : inbox) {
+        s.sum = s.sum * 13u + static_cast<std::uint32_t>(from) +
+                static_cast<std::uint32_t>(m);
+      }
     };
     serial.round(send, recv);
     parallel.round(send, recv);
