@@ -1,12 +1,12 @@
 // E19 — ExecutionMode::kFast vs kDeterministic (runtime/execution_mode.h).
 //
 // The claim: dropping the determinism discipline's ordering passes — the
-// inbox sort fallback, the two-phase frontier replay, the shard-fenced
-// sweeps — buys wall-clock on large graphs while
+// inbox sort fallback, the two-phase frontier replay, the static chunk
+// ranges of the Brooks fixes — buys wall-clock on large graphs while
 // every run still produces a valid Delta-coloring with the same palette
 // bound and a round total within the deterministic reference.
 //
-// Rows: (n, shards, threads) per headline algorithm, n ∈ {100k, 1M}. Each
+// Rows: (n, threads) per headline algorithm, n ∈ {100k, 1M}. Each
 // row runs BOTH modes on the same graph and seed and reports:
 //   - seconds_det / seconds_fast: wall-clock of one delta_color call;
 //   - speedup: seconds_det / seconds_fast;
@@ -49,14 +49,12 @@ TimedRun timed_delta_color(const Graph& g, Algorithm alg,
 void run_fast_vs_det(benchmark::State& state, Algorithm alg,
                      const std::string& family) {
   const int n = static_cast<int>(state.range(0));
-  const int num_shards = static_cast<int>(state.range(1));
-  const int threads = static_cast<int>(state.range(2));
+  const int threads = static_cast<int>(state.range(1));
   const Graph g = make_regular(n, 8, 77);
 
   DeltaColoringOptions det_opt;
   det_opt.seed = 9;
   det_opt.num_threads = threads;
-  det_opt.num_shards = num_shards;
   DeltaColoringOptions fast_opt = det_opt;
   fast_opt.mode = ExecutionMode::kFast;
 
@@ -74,7 +72,6 @@ void run_fast_vs_det(benchmark::State& state, Algorithm alg,
     valid = false;
   }
 
-  state.counters["shards"] = num_shards;
   state.counters["threads"] = threads;
   state.counters["seconds_det"] = det.seconds;
   state.counters["seconds_fast"] = fast.seconds;
@@ -97,19 +94,16 @@ void E19_RandomizedSmall(benchmark::State& state) {
 }  // namespace
 }  // namespace deltacol::bench
 
-// (n, shards, threads): the serial sanity row, the pooled row, and the
-// pooled+sharded row per size.
+// (n, threads): the serial sanity row and the pooled row per size.
 BENCHMARK(deltacol::bench::E19_RandomizedLarge)
-    ->Args({100000, 1, 1})
-    ->Args({100000, 1, 8})
-    ->Args({100000, 8, 8})
-    ->Args({1000000, 1, 8})
-    ->Args({1000000, 8, 8})
+    ->Args({100000, 1})
+    ->Args({100000, 8})
+    ->Args({1000000, 8})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(deltacol::bench::E19_RandomizedSmall)
-    ->Args({100000, 1, 8})
-    ->Args({1000000, 1, 8})
+    ->Args({100000, 8})
+    ->Args({1000000, 8})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);

@@ -1,63 +1,67 @@
 // deltacol_cli — color a graph from disk.
 //
 //   ./deltacol_cli <edge-list-file> [--alg small|large|det|ps|naive]
-//                  [--seed S] [--threads T] [--shards S] [--paper-constants]
-//                  [--dot out.dot]
+//                  [--seed S] [--threads T] [--congest-bits B]
+//                  [--mode deterministic|fast] [--perturb-salt X]
+//                  [--paper-constants] [--dot out.dot]
 //
 // Reads an edge list ("n m" header, one "u v" pair per line, 0-based),
 // runs the chosen Delta-coloring algorithm, prints the coloring summary and
 // the per-phase round ledger, and optionally writes a colored DOT file.
-// Exit code 0 iff a valid Delta-coloring was produced.
-#include <cstring>
+// Exit code 0 iff a valid Delta-coloring was produced, 1 on a contract
+// violation (bad file, (Delta+1)-clique input), 2 on a usage error.
+#include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 
 #include "core/api.h"
 #include "graph/io.h"
 #include "graph/metrics.h"
-#include "net/socket_transport.h"
+#include "launcher_flags.h"
+#include "runtime/thread_pool.h"
 
 using namespace deltacol;
+using examples::flag_value;
+using examples::parse_flag_int;
+using examples::UsageError;
 
 namespace {
 
 void usage(std::ostream& out) {
   out << "usage: deltacol_cli <edge-list> [--alg small|large|det|ps|naive]"
-         " [--seed S] [--threads T] [--shards S] [--congest-bits B]"
-         " [--partition contiguous|cluster] [--mode deterministic|fast]"
+         " [--seed S] [--threads T] [--congest-bits B]"
+         " [--mode deterministic|fast] [--perturb-salt X]"
          " [--paper-constants] [--dot out.dot]\n"
-         "       [--transport inproc|tcp] [--rank R --world W"
-         " (--endpoints host:port,... | --port-base P)]\n"
-         "  --threads T   worker threads for the parallel runtime (0 = all\n"
+         "  --threads T   worker threads for the parallel runtime, 0.."
+      << ThreadPool::kMaxThreads
+      << " (0 = all\n"
          "                hardware threads; results are identical for any T)\n"
-         "  --shards S    shards for the partitioned execution layer (<= 1 =\n"
-         "                unsharded; results are identical for any S)\n"
-         "  --partition contiguous|cluster\n"
-         "                shard ownership map: contiguous id ranges (default)\n"
-         "                or locality clusters (graph/renumber.h). Placement\n"
-         "                only: the coloring and ledger are identical for\n"
-         "                either choice, only cross-shard traffic changes\n"
          "  --congest-bits B\n"
-         "                charge rounds under a CONGEST(B) bandwidth cap (B\n"
-         "                bits per edge per round; <= 0 = LOCAL model).\n"
-         "                Accounting only: the coloring is identical for\n"
-         "                any B, only the reported round totals change\n"
+         "                bits per edge per round for CONGEST(B) charging\n"
+         "                (0 = LOCAL model). Only Luby's MIS steps honour B\n"
+         "                (the randomized ruling steps and the naive\n"
+         "                baseline's scheduling MIS); every other phase\n"
+         "                charges its LOCAL rounds at any B, so det reports\n"
+         "                the same total at every B. Accounting only: the\n"
+         "                coloring is identical for any B\n"
          "  --mode deterministic|fast\n"
          "                execution mode (runtime/execution_mode.h).\n"
          "                deterministic (default): bit-identical results\n"
-         "                for every (threads, shards) shape. fast: relaxed\n"
+         "                for every thread count. fast: relaxed\n"
          "                merge/claim ordering — still a valid\n"
          "                Delta-coloring, but only the validity contract is\n"
-         "                guaranteed across shapes\n"
-         "  --transport tcp\n"
-         "                join a multi-process cluster as one rank (flags or\n"
-         "                DELTACOL_RANK/DELTACOL_WORLD/DELTACOL_ENDPOINTS\n"
-         "                env; see deltacol_mpi_like). The pipeline runs\n"
-         "                replicated with --shards = world, fenced by\n"
-         "                cluster barriers, so every rank prints the same\n"
-         "                coloring and ledger\n";
+         "                guaranteed across thread counts\n";
+}
+
+Algorithm parse_algorithm(const std::string& v) {
+  if (v == "small") return Algorithm::kRandomizedSmall;
+  if (v == "large") return Algorithm::kRandomizedLarge;
+  if (v == "det") return Algorithm::kDeterministic;
+  if (v == "ps") return Algorithm::kBaselineND;
+  if (v == "naive") return Algorithm::kBaselineGreedyBrooks;
+  throw UsageError("--alg must be small, large, det, ps or naive, got '" +
+                   v + "'");
 }
 
 }  // namespace
@@ -75,93 +79,44 @@ int main(int argc, char** argv) {
   Algorithm alg = Algorithm::kRandomizedSmall;
   DeltaColoringOptions opt;
   std::string dot_path;
-  std::string transport_kind = "inproc";
-  std::string endpoints_spec;
-  int net_rank = -1, net_world = -1, port_base = -1;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--alg" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "small") alg = Algorithm::kRandomizedSmall;
-      else if (v == "large") alg = Algorithm::kRandomizedLarge;
-      else if (v == "det") alg = Algorithm::kDeterministic;
-      else if (v == "ps") alg = Algorithm::kBaselineND;
-      else if (v == "naive") alg = Algorithm::kBaselineGreedyBrooks;
-      else {
-        usage(std::cerr);
-        return 2;
+  try {
+    for (int i = 2; i < argc; ++i) {
+      const std::string a = argv[i];
+      if (a == "--alg") {
+        alg = parse_algorithm(flag_value(argc, argv, i, a));
+      } else if (a == "--seed") {
+        opt.seed =
+            parse_flag_int<std::uint64_t>(a, flag_value(argc, argv, i, a));
+      } else if (a == "--threads") {
+        opt.num_threads = parse_flag_int<int>(a, flag_value(argc, argv, i, a),
+                                              0, ThreadPool::kMaxThreads);
+      } else if (a == "--congest-bits") {
+        opt.congest_bits = parse_flag_int<std::int64_t>(
+            a, flag_value(argc, argv, i, a), 0);
+      } else if (a == "--mode") {
+        const std::string v = flag_value(argc, argv, i, a);
+        if (!parse_execution_mode(v.c_str(), &opt.mode)) {
+          throw UsageError("--mode must be deterministic or fast, got '" + v +
+                           "'");
+        }
+      } else if (a == "--perturb-salt") {
+        opt.perturb_salt =
+            parse_flag_int<std::uint64_t>(a, flag_value(argc, argv, i, a));
+      } else if (a == "--paper-constants") {
+        opt.use_paper_constants = true;
+      } else if (a == "--dot") {
+        dot_path = flag_value(argc, argv, i, a);
+      } else {
+        throw UsageError("unknown flag '" + a + "'");
       }
-    } else if (a == "--seed" && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--threads" && i + 1 < argc) {
-      opt.num_threads = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (a == "--shards" && i + 1 < argc) {
-      opt.num_shards = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (a == "--congest-bits" && i + 1 < argc) {
-      opt.congest_bits = std::strtoll(argv[++i], nullptr, 10);
-    } else if (a == "--partition" && i + 1 < argc) {
-      if (!parse_partition_strategy(argv[++i], &opt.partition)) {
-        usage(std::cerr);
-        return 2;
-      }
-    } else if (a == "--mode" && i + 1 < argc) {
-      if (!parse_execution_mode(argv[++i], &opt.mode)) {
-        usage(std::cerr);
-        return 2;
-      }
-    } else if (a == "--perturb-salt" && i + 1 < argc) {
-      opt.perturb_salt = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--paper-constants") {
-      opt.use_paper_constants = true;
-    } else if (a == "--dot" && i + 1 < argc) {
-      dot_path = argv[++i];
-    } else if (a == "--transport" && i + 1 < argc) {
-      transport_kind = argv[++i];
-    } else if (a == "--rank" && i + 1 < argc) {
-      net_rank = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (a == "--world" && i + 1 < argc) {
-      net_world = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (a == "--endpoints" && i + 1 < argc) {
-      endpoints_spec = argv[++i];
-    } else if (a == "--port-base" && i + 1 < argc) {
-      port_base = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else {
-      usage(std::cerr);
-      return 2;
     }
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    usage(std::cerr);
+    return 2;
   }
 
   try {
-    // --transport tcp: join the cluster before doing any work, run the
-    // deterministic pipeline replicated (shards = world), and fence the run
-    // with barriers so every rank starts and finishes together. Each rank
-    // prints the identical summary — the multi-process analogue of the
-    // --shards flag.
-    std::unique_ptr<SocketTransport> cluster;
-    if (transport_kind == "tcp") {
-      NetConfig cfg;
-      if (auto env = NetConfig::from_env(); env && net_rank < 0) {
-        cfg = *env;
-      } else {
-        cfg.rank = net_rank;
-        cfg.world = net_world;
-        if (!endpoints_spec.empty()) {
-          cfg.endpoints = NetConfig::parse_endpoints(endpoints_spec);
-        } else {
-          DC_REQUIRE(port_base > 0,
-                     "--transport tcp needs --endpoints or --port-base");
-          cfg.endpoints = NetConfig::localhost_endpoints(cfg.world, port_base);
-        }
-        cfg.validate();
-      }
-      cluster = std::make_unique<SocketTransport>(cfg);
-      if (opt.num_shards <= 1) opt.num_shards = cluster->world();
-      cluster->barrier();
-    } else if (transport_kind != "inproc") {
-      usage(std::cerr);
-      return 2;
-    }
-
     const Graph g = load_edge_list(path);
     std::cout << "graph: n=" << g.num_vertices() << " m=" << g.num_edges()
               << " Delta=" << g.max_degree() << " degeneracy="
@@ -177,7 +132,6 @@ int main(int argc, char** argv) {
       write_dot(out, g, res.coloring);
       std::cout << "wrote " << dot_path << "\n";
     }
-    if (cluster) cluster->barrier();
     return 0;
   } catch (const ContractViolation& e) {
     std::cerr << "error: " << e.what() << "\n";

@@ -1,7 +1,7 @@
 // deltacol_mpi_like — one rank of a multi-process deltacol run.
 //
 //   ./deltacol_mpi_like --gen regular-500-6 --transport tcp
-//       --rank 0 --world 2 --port-base 47300 [--alg all] [--seed S]
+//       --rank 0 --world 2 --port-base 47300 [--seed S]
 //       [--congest-bits B] [--out FILE]          (one command line)
 //
 // The mpirun-style launcher: every rank is one OS process owning one shard.
@@ -15,12 +15,13 @@
 //      wire (net/rank_loader.h) — verified against the full graph;
 //   2. runs Luby's MIS on the message-passing engine over the socket
 //      transport: sends are genuinely partitioned (run_shards executes only
-//      the local rank's body) and every round's mailbox row crosses TCP;
-//   3. runs the requested Delta-coloring algorithms replicated (every rank
-//      executes the same deterministic pipeline with num_shards = world).
+//      the local rank's body) and every round's mailbox row crosses TCP.
+//
+// The Delta-coloring pipeline does not run here: it is in-process only
+// (delta_color), and no phase of it is split across ranks yet.
 //
 // Output discipline: every line NOT starting with "# " is canonical — a
-// pure function of (workload, world, algs, seed, B) — and must be
+// pure function of (workload, world, partition, seed, B) — and must be
 // byte-identical across all ranks AND equal to the in-process reference
 // (--transport inproc). scripts/run_local_cluster.sh spawns the ranks,
 // strips the "# " rank-local lines, and diffs. Lines starting with "# "
@@ -28,7 +29,6 @@
 // differ per rank.
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -36,12 +36,12 @@
 #include <string>
 #include <vector>
 
-#include "core/api.h"
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "graph/metrics.h"
 #include "graph/partition.h"
 #include "graph/renumber.h"
+#include "launcher_flags.h"
 #include "net/rank_loader.h"
 #include "net/socket_transport.h"
 #include "runtime/mailbox.h"
@@ -50,6 +50,9 @@
 #include "util/rng.h"
 
 using namespace deltacol;
+using examples::flag_value;
+using examples::parse_flag_int;
+using examples::UsageError;
 
 namespace {
 
@@ -57,9 +60,8 @@ void usage(std::ostream& out) {
   out << "usage: deltacol_mpi_like (--gen ZOO-NAME | --load EDGE-LIST)\n"
          "         [--transport tcp|inproc] [--rank R --world W]\n"
          "         [--endpoints host:port,...] [--port-base P]\n"
-         "         [--alg all|small|large|det|ps|naive] [--seed S]\n"
-         "         [--congest-bits B] [--partition contiguous|cluster]\n"
-         "         [--mode deterministic|fast]\n"
+         "         [--seed S] [--congest-bits B]\n"
+         "         [--partition contiguous|cluster]\n"
          "         [--exchange replicated|owner] [--out FILE]\n"
          "  tcp     one process per rank; rank/world/endpoints from flags or\n"
          "          DELTACOL_RANK/DELTACOL_WORLD/DELTACOL_ENDPOINTS env\n"
@@ -70,13 +72,8 @@ void usage(std::ostream& out) {
          "          all canonical lines except the slice/cross-edge stats are\n"
          "          identical for either choice; cluster cuts the cross-rank\n"
          "          payload reported on the \"# rank=\" lines\n"
-         "  --mode deterministic|fast\n"
-         "          execution mode. CAUTION under tcp: the pipeline runs\n"
-         "          replicated per rank, so fast mode keeps the cross-rank\n"
-         "          output diff clean only with the (default) single thread\n"
-         "          per rank, where fast coincides with deterministic\n"
          "  --exchange replicated|owner\n"
-         "          how the Luby message-passing step moves envelopes\n"
+         "          how Luby's message-passing MIS moves envelopes\n"
          "          between ranks (runtime/execution_mode.h). replicated\n"
          "          all-gathers full mailbox rows; owner ships only\n"
          "          cross-shard slots point-to-point and merges rank-locally\n"
@@ -95,14 +92,10 @@ std::uint64_t fnv1a(const void* data, std::size_t len) {
   return h;
 }
 
-std::uint64_t hash_ints(const std::vector<int>& xs) {
-  return fnv1a(xs.data(), xs.size() * sizeof(int));
-}
-
 std::uint64_t hash_bools(const std::vector<bool>& bs) {
   std::vector<int> xs(bs.size());
   for (std::size_t i = 0; i < bs.size(); ++i) xs[i] = bs[i] ? 1 : 0;
-  return hash_ints(xs);
+  return fnv1a(xs.data(), xs.size() * sizeof(int));
 }
 
 std::string hex(std::uint64_t h) {
@@ -114,65 +107,71 @@ std::string hex(std::uint64_t h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string gen_name, load_path, endpoints_spec, alg_spec = "all", out_path;
+  std::string gen_name, load_path, endpoints_spec, out_path;
   std::string transport_kind = "tcp";
   int rank = -1, world = -1, port_base = -1;
   std::uint64_t seed = 1;
   std::int64_t congest_bits = 0;
   PartitionStrategy strategy = PartitionStrategy::kContiguous;
-  ExecutionMode mode = ExecutionMode::kDeterministic;
   ExchangePolicy exchange = ExchangePolicy::kReplicated;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&](const char* flag) -> std::string {
-      DC_REQUIRE(i + 1 < argc, std::string(flag) + " needs a value");
-      return argv[++i];
-    };
-    if (a == "--help" || a == "-h") {
-      usage(std::cout);
-      return 0;
-    } else if (a == "--gen") {
-      gen_name = next("--gen");
-    } else if (a == "--load") {
-      load_path = next("--load");
-    } else if (a == "--transport") {
-      transport_kind = next("--transport");
-    } else if (a == "--rank") {
-      rank = std::stoi(next("--rank"));
-    } else if (a == "--world") {
-      world = std::stoi(next("--world"));
-    } else if (a == "--endpoints") {
-      endpoints_spec = next("--endpoints");
-    } else if (a == "--port-base") {
-      port_base = std::stoi(next("--port-base"));
-    } else if (a == "--alg") {
-      alg_spec = next("--alg");
-    } else if (a == "--seed") {
-      seed = std::strtoull(next("--seed").c_str(), nullptr, 10);
-    } else if (a == "--congest-bits") {
-      congest_bits = std::strtoll(next("--congest-bits").c_str(), nullptr, 10);
-    } else if (a == "--partition") {
-      DC_REQUIRE(parse_partition_strategy(next("--partition"), &strategy),
-                 "--partition must be contiguous or cluster");
-    } else if (a == "--mode") {
-      DC_REQUIRE(parse_execution_mode(next("--mode").c_str(), &mode),
-                 "--mode must be deterministic or fast");
-    } else if (a == "--exchange") {
-      DC_REQUIRE(parse_exchange_policy(next("--exchange").c_str(), &exchange),
-                 "--exchange must be replicated or owner");
-    } else if (a == "--out") {
-      out_path = next("--out");
-    } else {
-      usage(std::cerr);
-      return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string a = argv[i];
+      if (a == "--help" || a == "-h") {
+        usage(std::cout);
+        return 0;
+      } else if (a == "--gen") {
+        gen_name = flag_value(argc, argv, i, a);
+      } else if (a == "--load") {
+        load_path = flag_value(argc, argv, i, a);
+      } else if (a == "--transport") {
+        transport_kind = flag_value(argc, argv, i, a);
+        if (transport_kind != "tcp" && transport_kind != "inproc") {
+          throw UsageError("--transport must be tcp or inproc, got '" +
+                           transport_kind + "'");
+        }
+      } else if (a == "--rank") {
+        rank = parse_flag_int<int>(a, flag_value(argc, argv, i, a), 0);
+      } else if (a == "--world") {
+        world = parse_flag_int<int>(a, flag_value(argc, argv, i, a), 1);
+      } else if (a == "--endpoints") {
+        endpoints_spec = flag_value(argc, argv, i, a);
+      } else if (a == "--port-base") {
+        port_base =
+            parse_flag_int<int>(a, flag_value(argc, argv, i, a), 1, 65535);
+      } else if (a == "--seed") {
+        seed = parse_flag_int<std::uint64_t>(a, flag_value(argc, argv, i, a));
+      } else if (a == "--congest-bits") {
+        congest_bits = parse_flag_int<std::int64_t>(
+            a, flag_value(argc, argv, i, a), 0);
+      } else if (a == "--partition") {
+        const std::string v = flag_value(argc, argv, i, a);
+        if (!parse_partition_strategy(v, &strategy)) {
+          throw UsageError("--partition must be contiguous or cluster, got '" +
+                           v + "'");
+        }
+      } else if (a == "--exchange") {
+        const std::string v = flag_value(argc, argv, i, a);
+        if (!parse_exchange_policy(v.c_str(), &exchange)) {
+          throw UsageError("--exchange must be replicated or owner, got '" +
+                           v + "'");
+        }
+      } else if (a == "--out") {
+        out_path = flag_value(argc, argv, i, a);
+      } else {
+        throw UsageError("unknown flag '" + a + "'");
+      }
     }
+    if (gen_name.empty() == load_path.empty()) {
+      throw UsageError("give exactly one of --gen or --load");
+    }
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    usage(std::cerr);
+    return 2;
   }
 
   try {
-    DC_REQUIRE(gen_name.empty() != load_path.empty(),
-               "give exactly one of --gen or --load");
-    DC_REQUIRE(transport_kind == "tcp" || transport_kind == "inproc",
-               "--transport must be tcp or inproc");
     const bool tcp = transport_kind == "tcp";
 
     // Resolve the cluster shape.
@@ -204,8 +203,9 @@ int main(int argc, char** argv) {
     }
     std::ostream& out = out_path.empty() ? std::cout : out_file;
 
-    // The full graph: replicated pipeline phases need it. (The slice path
-    // below additionally proves a rank can load *only* its own rows.)
+    // The full graph: the canonical per-shard table and the halo checks need
+    // it. (The slice path below additionally proves a rank can load *only*
+    // its own rows.)
     const Graph g = !gen_name.empty() ? generator_zoo_graph(gen_name)
                                       : load_edge_list(load_path);
     const std::string workload = !gen_name.empty() ? gen_name : load_path;
@@ -312,37 +312,6 @@ int main(int argc, char** argv) {
             << st.wire_bytes_sent() << " wire-bytes-received="
             << st.wire_bytes_received() << " frames=" << st.frames_sent()
             << " cross-payload-bytes=" << st.cross_payload_bytes() << "\n";
-      }
-    }
-
-    // --- 4. the Delta-coloring pipeline, replicated ------------------------
-    std::vector<std::pair<std::string, Algorithm>> algs;
-    auto add = [&](const std::string& name, Algorithm a) {
-      if (alg_spec == "all" || alg_spec == name) algs.emplace_back(name, a);
-    };
-    add("det", Algorithm::kDeterministic);
-    add("large", Algorithm::kRandomizedLarge);
-    add("small", Algorithm::kRandomizedSmall);
-    add("ps", Algorithm::kBaselineND);
-    add("naive", Algorithm::kBaselineGreedyBrooks);
-    DC_REQUIRE(!algs.empty(), "unknown --alg value: " + alg_spec);
-
-    for (const auto& [name, alg] : algs) {
-      DeltaColoringOptions opt;
-      opt.seed = seed;
-      opt.num_shards = S;
-      opt.congest_bits = congest_bits;
-      opt.partition = strategy;
-      opt.mode = mode;
-      const DeltaColoringResult res = delta_color(g, alg, opt);
-      validate_delta_coloring(g, res.coloring, res.delta);
-      std::vector<int> colors(res.coloring.begin(), res.coloring.end());
-      out << "alg=" << name << " colors=" << num_colors_used(res.coloring)
-          << "/" << res.delta << " hash=" << hex(hash_ints(colors))
-          << " rounds=" << res.ledger.total() << "\n";
-      for (const auto& pt : res.ledger.breakdown()) {
-        out << "  ledger " << name << " " << pt.phase << " " << pt.rounds
-            << "\n";
       }
     }
 

@@ -20,6 +20,7 @@
 
 #include "coloring/coloring.h"
 #include "graph/graph.h"
+// perfbench/src/probes.cpp reaches VertexPartition through this include.
 #include "graph/partition.h"
 #include "runtime/execution_mode.h"
 
@@ -87,28 +88,24 @@ struct ScheduledBrooksFixes {
 // disjointness) and every base uncolored on entry. Two passes:
 //
 //  1. Parallel pass: contiguous base ranges fan out as chunks (one
-//     BfsScratch each; shard-major grouping by each base's home shard when
-//     num_shards > 1 — under `part` when the caller passes its partition,
-//     else the contiguous one); every fix runs with emergencies deferred,
-//     so concurrent walks touch disjoint balls only.
+//     BfsScratch each); every fix runs with emergencies deferred, so
+//     concurrent walks touch disjoint balls only.
 //  2. Serial pass, ascending index: deferred Lemma-27 emergencies complete
 //     with the component recolor enabled (a recolor may color later
 //     deferred bases — those are skipped, see `executed`).
 //
-// Results are bit-identical for every (threads, shards, partition)
-// combination: the parallel-pass fixes commute (disjoint read/write sets)
-// and the serial pass is index-ordered.
+// Results are bit-identical for every thread count: the parallel-pass fixes
+// commute (disjoint read/write sets) and the serial pass is index-ordered.
 //
-// `mode` (runtime/execution_mode.h) kFast drops the shard grouping AND the
-// static contiguous ranges of pass 1: executors claim fixes first-come
+// `mode` (runtime/execution_mode.h) kFast drops the static contiguous
+// ranges of pass 1: executors claim fixes first-come
 // through an atomic cursor (walk costs vary wildly, so static ranges leave
 // executors idle behind a heavy chunk). Valid because the fixes commute —
 // the claim order is not observable in the coloring; pass 2 stays serial
 // and index-ordered either way.
 ScheduledBrooksFixes schedule_disjoint_brooks_fixes(
     const Graph& g, Coloring& c, const std::vector<int>& bases, int delta,
-    int max_radius, ThreadPool* pool, int num_shards = 1,
-    const VertexPartition* part = nullptr,
+    int max_radius, ThreadPool* pool,
     ExecutionMode mode = ExecutionMode::kDeterministic);
 
 // The paper's bound 2 log_{Delta-1} n, rounded up, plus slack for the DCC

@@ -27,7 +27,6 @@
 #include "coloring/coloring.h"
 #include "core/layering.h"
 #include "graph/graph.h"
-#include "graph/partition.h"
 #include "local/round_ledger.h"
 #include "runtime/execution_mode.h"
 
@@ -83,54 +82,37 @@ struct DeltaColoringOptions {
   /// parallel-for loops. Affects wall-clock speed ONLY — colorings, round
   /// ledgers and phase stats are bit-for-bit identical for every value
   /// (enforced by tests/test_parallel_determinism.cpp). <= 1 runs fully
-  /// serial; 0 means "use all hardware threads".
+  /// serial; 0 means "use all hardware threads"; a request above
+  /// ThreadPool::kMaxThreads throws ContractViolation.
   int num_threads = 1;
-
-  /// Shards for the partitioned execution layer (graph/partition.h +
-  /// runtime/mailbox.h): vertices split into `num_shards` contiguous
-  /// ranges, connected components are placed on the shard owning their
-  /// lowest vertex, per-node sweeps run shard-major, and scheduled Brooks
-  /// fixes group by home shard. Today every shard executes in-process on
-  /// the same ThreadPool (the InProcessTransport); the option exists so
-  /// that moving to a distributed Transport is a backend swap, not an
-  /// engine change. Like num_threads this affects placement and wall-clock
-  /// ONLY — colorings, ledgers and stats are bit-for-bit identical for
-  /// every (num_shards, num_threads) pair (enforced by the shard golden
-  /// tests in tests/test_parallel_determinism.cpp). <= 1 runs unsharded.
-  int num_shards = 1;
-
-  /// How vertices are assigned to shards (graph/partition.h):
-  /// kContiguous splits the raw id space into balanced ascending ranges —
-  /// the pessimistic baseline where ≈ (S-1)/S of all edges cross shards on
-  /// wild-id inputs. kCluster runs the deterministic locality renumbering
-  /// pre-pass (graph/renumber.h: BFS ball growing + DFS linearization) so
-  /// each shard owns a locality-dense region and cross-shard traffic drops
-  /// to the cluster boundary (experiment E18). Like num_shards this affects
-  /// placement, message routing and wall-clock ONLY — colorings, ledgers
-  /// and stats are bit-for-bit identical for every strategy (enforced by
-  /// tests/test_renumber.cpp). Ignored at num_shards <= 1.
-  PartitionStrategy partition = PartitionStrategy::kContiguous;
 
   /// CONGEST(B) bandwidth cap in bits per directed edge per round
   /// (local/round_ledger.h). <= 0 (the default) runs in the LOCAL model:
   /// every message round costs 1. A positive B puts every ledger of the run
   /// (including per-component and scheduler-private child ledgers) into
-  /// congest mode: a message round whose heaviest directed edge carries W
-  /// wire bits (MessageSize, runtime/message_size.h) is charged
-  /// ceil(W / B) rounds. Pure accounting overlay — execution, colorings and
-  /// stats are bit-for-bit identical to LOCAL for every B; only the charged
-  /// round totals grow, monotonically as B shrinks (enforced by
-  /// tests/test_congest.cpp).
+  /// congest mode, but only charges made through charge_message_round honour
+  /// it: a message round whose heaviest directed edge carries W wire bits
+  /// (MessageSize, runtime/message_size.h) is charged ceil(W / B) rounds.
+  /// Inside delta_color only Luby's MIS charges that way (the randomized
+  /// GDCC/CDCC ruling steps and the greedy-Brooks baseline's scheduling
+  /// MIS); outside it, the message-passing engines and the gossip
+  /// primitives do too. Every other phase — Linial, color reduction, DCC
+  /// detection, layering, marking, list coloring, the deterministic ruling
+  /// set, Brooks fixes, the ND baseline — charges its LOCAL rounds at any B,
+  /// so kDeterministic reports the same total at every B. Accounting only:
+  /// colorings and stats are bit-for-bit identical to LOCAL for every B;
+  /// only the charged round totals grow, monotonically as B shrinks
+  /// (enforced by tests/test_congest.cpp).
   std::int64_t congest_bits = 0;
 
   /// Execution mode of the parallel runtime (runtime/execution_mode.h).
   /// kDeterministic (default): colorings, ledgers and stats are bit-for-bit
-  /// identical for every (threads, shards, partition) shape — the reference
-  /// oracle, pinned byte-for-byte by tests/test_golden_determinism.cpp.
+  /// identical for every thread count — the reference oracle, pinned
+  /// byte-for-byte by tests/test_golden_determinism.cpp.
   /// kFast: the runtime drops replay/merge ordering wherever the algorithms
   /// only need *a* valid outcome — atomics-based frontier claiming,
-  /// inboxes in merge order without the sort fallback, first-come work
-  /// claiming in the component fan-outs.
+  /// inboxes in merge order without the sort fallback, first-come claiming
+  /// of Brooks fixes.
   /// Only VALIDITY is then guaranteed: a proper Delta-coloring, the same
   /// color-count bound, rounds within the deterministic mode's bound,
   /// CONGEST charges from the same order-free max fold (enforced by

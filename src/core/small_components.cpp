@@ -153,8 +153,7 @@ bool color_small_component(ComponentContext& ctx, Coloring& c,
   const int per_step = 2 * std::max(1, det.max_dcc_radius) + 1;
   const std::vector<bool> in_m = luby_mis(cdcc.graph, ctx.rng, ctx.ledger,
                                           "small/cdcc-ruling", per_step,
-                                          ctx.pool, /*num_shards=*/1,
-                                          ctx.opt.mode);
+                                          ctx.pool);
 
   std::vector<int> anchors;  // component-local ids, deduplicated
   std::vector<char> anchor_object(cdcc.vertex_sets.size(), 0);

@@ -51,10 +51,10 @@ enum class RulingSetEngine {
 
 // Ruling set of `subset` (pass all vertices for a ruling set of G). rng may
 // be null for the deterministic engine. `pool` fans out the auxiliary-graph
-// engines' power-graph construction and Luby rounds; `mode` kFast forwards
-// to Luby's dynamically chunked scans — the set returned satisfies the same
-// (alpha, beta) contract either way. kDeterministic is serial and ignores
-// both. With alpha = 1 every engine returns the sorted distinct subset.
+// engines' power-graph construction and Luby rounds; kDeterministic is
+// serial and ignores it. `mode` changes nothing: every engine runs the same
+// sweeps in both execution modes. With alpha = 1 every engine returns the
+// sorted distinct subset.
 std::vector<int> ruling_set(const Graph& g, const std::vector<int>& subset,
                             int alpha, RulingSetEngine engine, Rng* rng,
                             RoundLedger& ledger, std::string_view phase,

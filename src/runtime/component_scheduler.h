@@ -23,32 +23,22 @@
 #include <vector>
 
 #include "local/round_ledger.h"
-#include "runtime/execution_mode.h"
 #include "runtime/thread_pool.h"
 
 namespace deltacol {
 
-class Transport;        // src/runtime/mailbox.h
-class VertexPartition;  // src/graph/partition.h
-
 class ComponentScheduler {
  public:
   /// `pool` may be nullptr: jobs then run inline, in index order.
-  /// `mode` (runtime/execution_mode.h): kFast makes the *_placed fan-outs
-  /// ignore shard placement for in-process execution and delegate to the
-  /// dynamically load-balanced run()/run_max_total() — first-come job
-  /// claiming instead of shard-fenced queues. Results stay identical
-  /// because jobs keep index-private outputs regardless of where they run;
-  /// only wall-clock placement changes (which is the point).
-  explicit ComponentScheduler(ThreadPool* pool,
-                              ExecutionMode mode = ExecutionMode::kDeterministic)
-      : pool_(pool), mode_(mode) {}
+  explicit ComponentScheduler(ThreadPool* pool) : pool_(pool) {}
 
   /// Runs job(0) .. job(count - 1), concurrently when a multi-threaded pool
   /// is attached. Each component is one schedulable unit (components vary
   /// wildly in size; one-chunk-per-job load-balances dynamically). Blocks
-  /// until all jobs finished; the lowest-index job's exception is rethrown
-  /// (the one a serial loop would have surfaced).
+  /// until all jobs finished. A throwing job cannot cancel its siblings:
+  /// every job runs at every thread count, and the lowest-index job's
+  /// exception is rethrown after the last one (the one a serial loop would
+  /// have surfaced first).
   void run(int count, const std::function<void(int)>& job) const;
 
   /// Phase-(6)-style fan-out: runs job(i, ledger_i) for every i with an
@@ -67,54 +57,8 @@ class ComponentScheduler {
       int count, const std::function<void(int, RoundLedger&)>& job,
       std::int64_t congest_bits = 0) const;
 
-  /// Shard-placed fan-out (the distributed execution shape): job i runs on
-  /// its home shard `placement[i]`, shards execute through `transport`
-  /// (concurrently under InProcessTransport with a pooled runtime), and a
-  /// shard runs its own jobs in ascending index order — exactly what a rank
-  /// of a distributed deployment would do with the components it owns.
-  ///
-  /// Results are identical to run() for any placement because jobs keep the
-  /// index-private-output discipline; only wall-clock placement changes.
-  /// The exception contract also matches run(): every job executes (a
-  /// throwing job cannot cancel siblings) and the lowest-index job's
-  /// exception is rethrown after the barrier. transport.num_shards() <= 1
-  /// falls back to run()'s per-job dynamic load balancing.
-  void run_placed(const std::vector<int>& placement, Transport& transport,
-                  const std::function<void(int)>& job) const;
-
-  /// run_max_total with shard placement; see run_placed / run_max_total.
-  std::int64_t run_max_total_placed(
-      const std::vector<int>& placement, Transport& transport,
-      const std::function<void(int, RoundLedger&)>& job,
-      std::int64_t congest_bits = 0) const;
-
-  /// The canonical home-shard convenience used by the api-level component
-  /// fan-out and the Phase-(6) leftover fan-out: job i is placed on the
-  /// shard owning `owner_vertex[i]` under `part` (contiguous or
-  /// locality-renumbered — placement is wherever part.shard_of says the
-  /// owner lives), executed through an in-process transport over this
-  /// scheduler's pool. A single shard falls back to the unplaced
-  /// run()/run_max_total().
-  void run_owner_placed(const VertexPartition& part,
-                        const std::vector<int>& owner_vertex,
-                        const std::function<void(int)>& job) const;
-  std::int64_t run_max_total_owner_placed(
-      const VertexPartition& part, const std::vector<int>& owner_vertex,
-      const std::function<void(int, RoundLedger&)>& job,
-      std::int64_t congest_bits = 0) const;
-
-  /// Contiguous-partition convenience (the pre-PR-8 signatures).
-  void run_owner_placed(int n, int num_shards,
-                        const std::vector<int>& owner_vertex,
-                        const std::function<void(int)>& job) const;
-  std::int64_t run_max_total_owner_placed(
-      int n, int num_shards, const std::vector<int>& owner_vertex,
-      const std::function<void(int, RoundLedger&)>& job,
-      std::int64_t congest_bits = 0) const;
-
  private:
   ThreadPool* pool_;
-  ExecutionMode mode_ = ExecutionMode::kDeterministic;
 };
 
 /// LOCAL-model accounting for parallel component runs: merges into `parent`

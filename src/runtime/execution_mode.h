@@ -8,14 +8,16 @@
 /// scatter sorted by construction, with a stable-sort fallback for the
 /// inboxes a renumbered partition leaves out of order;
 /// runtime/parallel_sync_engine.h, local/sync_engine.h), static chunk
-/// partitions and shard-placed fan-outs (runtime/component_scheduler.h,
-/// runtime/mailbox.h). Results are bit-identical for every
+/// partitions, and shard-major sweeps in the message-passing engine
+/// (runtime/mailbox.h). delta_color results are bit-identical for every
+/// thread count; message-passing Luby results for every
 /// (threads, shards, partition) shape.
 ///
 /// **kFast** drops those orderings wherever the algorithms only need *a*
 /// valid outcome, not *the* serial one: atomics-based first-claim frontier
-/// expansion, inboxes in merge order with no sort fallback, and first-come
-/// work claiming in the component fan-outs.
+/// expansion, inboxes in merge order with no sort fallback, plain
+/// range-chunked sweeps instead of shard-major ones in the message-passing
+/// engine, and first-come claiming of Brooks fixes.
 /// The contract shrinks to VALIDITY — a proper Delta-coloring within the
 /// proven round bounds, CONGEST charges computed by the same order-free max
 /// fold — and is pinned by the cross-validation harness

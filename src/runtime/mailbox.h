@@ -436,16 +436,6 @@ void sharded_for(ThreadPool* pool, const VertexPartition& part,
   }
 }
 
-/// Contiguous-partition convenience overload (the pre-PR-8 signature).
-template <typename Body>
-void sharded_for(ThreadPool* pool, int num_shards, int n, const Body& body) {
-  if (num_shards <= 1) {
-    pooled_for(pool, 0, n, body);
-    return;
-  }
-  sharded_for(pool, VertexPartition::contiguous(n, num_shards), body);
-}
-
 /// Mode-aware sharded_for (runtime/execution_mode.h). kDeterministic keeps
 /// the shard-major placement sweep above. kFast drops the placement
 /// fiction for in-process sweeps and runs a plain range-chunked pooled_for
@@ -461,17 +451,6 @@ void sharded_for(ThreadPool* pool, const VertexPartition& part,
     return;
   }
   sharded_for(pool, part, body);
-}
-
-/// Contiguous-partition convenience overload of the mode-aware sweep.
-template <typename Body>
-void sharded_for(ThreadPool* pool, int num_shards, int n, ExecutionMode mode,
-                 const Body& body) {
-  if (mode == ExecutionMode::kFast) {
-    pooled_for(pool, 0, n, body);
-    return;
-  }
-  sharded_for(pool, num_shards, n, body);
 }
 
 }  // namespace deltacol

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <string>
 
 #include "util/check.h"
 
@@ -67,6 +68,9 @@ int ThreadPool::resolve_num_threads(int requested) {
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
   }
+  DC_REQUIRE(requested <= kMaxThreads,
+             "num_threads = " + std::to_string(requested) +
+                 " exceeds the ceiling of " + std::to_string(kMaxThreads));
   return std::max(1, requested);
 }
 

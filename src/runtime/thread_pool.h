@@ -53,8 +53,13 @@ class ThreadPool {
   /// Total executors (workers + the calling thread), >= 1.
   int num_threads() const { return num_threads_; }
 
+  /// Ceiling on an explicit thread request: far above any host this
+  /// library targets, far below what exhausts an OS's thread limit.
+  static constexpr int kMaxThreads = 1024;
+
   /// Resolves a DeltaColoringOptions-style thread count: 0 means "all
-  /// hardware threads", anything else is clamped to >= 1.
+  /// hardware threads", a request above kMaxThreads throws
+  /// ContractViolation, anything else is clamped to >= 1.
   static int resolve_num_threads(int requested);
 
   /// Schedule perturbation (chaos testing; DeltaColoringOptions::

@@ -181,7 +181,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AlgorithmsVsBrooksSeq, ::testing::Range(1, 7));
 
 TEST(CrossValidation, FastModeAgreesWithDeterministicOnValidityMetrics) {
   // Every pipeline in both execution modes (runtime/execution_mode.h) on one
-  // parallel+sharded shape: the deterministic run is the oracle, and the
+  // parallel shape: the deterministic run is the oracle, and the
   // fast run — which drops replay/merge ordering — must agree on every
   // validity metric: proper + complete, the same Delta, at most Delta
   // colors, and a round total within the deterministic bound.
@@ -193,7 +193,6 @@ TEST(CrossValidation, FastModeAgreesWithDeterministicOnValidityMetrics) {
     DeltaColoringOptions det_opt;
     det_opt.seed = 13;
     det_opt.num_threads = 8;
-    det_opt.num_shards = 2;
     const auto det = delta_color(g, alg, det_opt);
     ASSERT_NO_THROW(validate_delta_coloring(g, det.coloring, det.delta))
         << algorithm_name(alg);

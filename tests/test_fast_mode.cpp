@@ -4,8 +4,8 @@
 // for — atomic frontier claiming, inboxes in merge order, first-come work
 // claiming, plain range-chunked sweeps — so its contract shrinks from
 // "bit-identical for every shape" to "a valid Delta-coloring". This suite is
-// that contract: every algorithm over the generator zoo, across the
-// (shards, threads) grid and both charging models, validated against the
+// that contract: every algorithm over the generator zoo, across thread
+// counts and both charging models, validated against the
 // serial deterministic oracle on the properties fast mode still promises:
 //
 //   * the coloring is a proper, complete Delta-coloring (validate throws),
@@ -94,9 +94,9 @@ TEST(ExecutionModeApi, ParseAndName) {
   EXPECT_STREQ(execution_mode_name(ExecutionMode::kFast), "fast");
 }
 
-// The headline harness: every algorithm × the zoo × the (S, T) grid under
-// LOCAL charging, plus the (S, T) diagonal under CONGEST(64). The serial
-// deterministic run is the oracle for the palette and round bounds.
+// The headline harness: every algorithm × the zoo × threads ∈ {1, 2, 8},
+// each under LOCAL charging and under CONGEST(64). The serial deterministic
+// run is the oracle for the palette and round bounds.
 TEST(FastMode, ZooCrossValidationGrid) {
   const auto zoo = generator_zoo();
   for (const auto& w : zoo) {
@@ -107,39 +107,31 @@ TEST(FastMode, ZooCrossValidationGrid) {
       DeltaColoringOptions det_opt;
       det_opt.seed = 2024;
       det_opt.num_threads = 1;
-      det_opt.num_shards = 1;
       const DeltaColoringResult det_local = delta_color(w.g, alg, det_opt);
 
       DeltaColoringOptions det64_opt = det_opt;
       det64_opt.congest_bits = 64;
       const DeltaColoringResult det_congest = delta_color(w.g, alg, det64_opt);
 
-      for (int num_shards : {1, 2, 8}) {
-        for (int threads : {1, 2, 8}) {
-          DeltaColoringOptions opt = det_opt;
-          opt.mode = ExecutionMode::kFast;
-          opt.num_shards = num_shards;
-          opt.num_threads = threads;
-          const std::string label = std::string(w.name) + " / " +
-                                    algorithm_name(alg) + " / S=" +
-                                    std::to_string(num_shards) + " T=" +
-                                    std::to_string(threads);
-          const DeltaColoringResult fast = delta_color(w.g, alg, opt);
-          expect_valid_fast_result(w.g, fast, det_local, label);
+      for (int threads : {1, 2, 8}) {
+        DeltaColoringOptions opt = det_opt;
+        opt.mode = ExecutionMode::kFast;
+        opt.num_threads = threads;
+        const std::string label = std::string(w.name) + " / " +
+                                  algorithm_name(alg) + " / T=" +
+                                  std::to_string(threads);
+        const DeltaColoringResult fast = delta_color(w.g, alg, opt);
+        expect_valid_fast_result(w.g, fast, det_local, label);
 
-          // CONGEST consistency on the grid diagonal: charging under a
-          // bandwidth cap is accounting-only (still valid) and can only
-          // inflate the round total relative to LOCAL.
-          if (num_shards == threads) {
-            DeltaColoringOptions copt = opt;
-            copt.congest_bits = 64;
-            const DeltaColoringResult fast64 = delta_color(w.g, alg, copt);
-            expect_valid_fast_result(w.g, fast64, det_congest,
-                                     label + " B=64");
-            EXPECT_GE(fast64.ledger.total(), fast.ledger.total())
-                << label << " B=64 vs LOCAL";
-          }
-        }
+        // CONGEST consistency: charging under a bandwidth cap is
+        // accounting-only (still valid) and can only inflate the round
+        // total relative to LOCAL.
+        DeltaColoringOptions copt = opt;
+        copt.congest_bits = 64;
+        const DeltaColoringResult fast64 = delta_color(w.g, alg, copt);
+        expect_valid_fast_result(w.g, fast64, det_congest, label + " B=64");
+        EXPECT_GE(fast64.ledger.total(), fast.ledger.total())
+            << label << " B=64 vs LOCAL";
       }
     }
   }
@@ -159,7 +151,6 @@ TEST(FastMode, PerturbationSaltSweep) {
     DeltaColoringOptions base;
     base.seed = 7;
     base.num_threads = 8;
-    base.num_shards = 4;
     const DeltaColoringResult det_ref = delta_color(g, alg, base);
     validate_delta_coloring(g, det_ref.coloring, det_ref.delta);
 
@@ -249,7 +240,6 @@ TEST(FastMode, SaltedFastRunsOnMultiComponentWorkload) {
   det_opt.seed = 9;
   det_opt.small_variant_radius_cap = 2;
   det_opt.num_threads = 1;
-  det_opt.num_shards = 1;
   const DeltaColoringResult det =
       delta_color(g, Algorithm::kRandomizedSmall, det_opt);
   ASSERT_GE(det.stats.leftover_components, 1)
@@ -259,7 +249,6 @@ TEST(FastMode, SaltedFastRunsOnMultiComponentWorkload) {
     DeltaColoringOptions opt = det_opt;
     opt.mode = ExecutionMode::kFast;
     opt.num_threads = 8;
-    opt.num_shards = 8;
     opt.perturb_salt = salt;
     const DeltaColoringResult fast =
         delta_color(g, Algorithm::kRandomizedSmall, opt);

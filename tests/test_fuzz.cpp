@@ -72,11 +72,10 @@ DeltaColoringOptions random_options(Rng& rng) {
   opt.use_paper_constants = rng.next_bool(0.2);
   opt.list_engine = rng.next_bool(0.5) ? ListEngine::kDeterministic
                                        : ListEngine::kRandomized;
-  // Random runtime shapes and CONGEST caps: both are observability /
-  // placement knobs that must never change what delta_color computes.
+  // Random thread counts and CONGEST caps: both are wall-clock /
+  // accounting knobs that must never change what delta_color computes.
   const int shapes[] = {1, 2, 8};
   opt.num_threads = shapes[rng.next_int(0, 2)];
-  opt.num_shards = shapes[rng.next_int(0, 2)];
   if (rng.next_bool(0.5)) {
     opt.congest_bits = rng.next_int(1, 512);  // tight, uneven caps
   }
@@ -151,7 +150,6 @@ TEST(FuzzStress, EightSameSeedRunsPerMode) {
     DeltaColoringOptions opt;
     opt.seed = rng.next_u64();
     opt.num_threads = 8;
-    opt.num_shards = 2;
     opt.perturb_salt = rng.next_u64();
 
     const auto det_ref = delta_color(g, alg, opt);

@@ -1,6 +1,8 @@
 // The parallel execution runtime (src/runtime/): ThreadPool semantics
-// (chunked execution, nesting, exception propagation, empty regions) and
-// bit-for-bit equivalence of ParallelSyncEngine with the serial SyncEngine.
+// (chunked execution, nesting, exception propagation, empty regions, the
+// thread-count ceiling), the ComponentScheduler's max-charging and exception
+// contract, and bit-for-bit equivalence of ParallelSyncEngine with the
+// serial SyncEngine.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +11,7 @@
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "graph/generators.h"
@@ -20,6 +23,7 @@
 #include "runtime/mailbox.h"
 #include "runtime/parallel_sync_engine.h"
 #include "runtime/thread_pool.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace deltacol {
@@ -109,6 +113,23 @@ TEST(ThreadPool, ResolveNumThreads) {
   EXPECT_EQ(ThreadPool::resolve_num_threads(-3), 1);
   EXPECT_EQ(ThreadPool::resolve_num_threads(5), 5);
   EXPECT_GE(ThreadPool::resolve_num_threads(0), 1);  // hardware count
+  EXPECT_EQ(ThreadPool::resolve_num_threads(ThreadPool::kMaxThreads),
+            ThreadPool::kMaxThreads);
+}
+
+// A request above the ceiling is rejected before any pool exists: no test
+// here constructs one at that size or starts a thread.
+TEST(ThreadPool, ResolveNumThreadsRejectsRequestsAboveTheCeiling) {
+  for (int requested : {ThreadPool::kMaxThreads + 1, 1000000}) {
+    try {
+      ThreadPool::resolve_num_threads(requested);
+      FAIL() << "expected a ContractViolation for " << requested;
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(requested)),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // The engine-level determinism pin: the same per-node algorithm driven by
@@ -218,6 +239,41 @@ TEST(ComponentScheduler, RunsEveryJobOnceAndChargesMax) {
     EXPECT_EQ(parent.total(), 7 + 32);
     EXPECT_EQ(parent.phase_total("phase-a"), 24);
     EXPECT_EQ(parent.phase_total("phase-b"), 8);
+  }
+}
+
+// The exception contract of both fan-outs, at every thread count: a throwing
+// job cannot cancel its siblings (every job runs exactly once), and the
+// lowest-index job's exception is the one rethrown.
+TEST(ComponentScheduler, EveryJobRunsAndTheLowestIndexExceptionWins) {
+  for (int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    const ComponentScheduler sched(threads > 1 ? &pool : nullptr);
+    std::vector<std::atomic<int>> ran(6);
+    const auto job = [&](int i) {
+      ran[static_cast<std::size_t>(i)].fetch_add(1);
+      if (i == 2 || i == 5) {
+        throw std::runtime_error("job " + std::to_string(i));
+      }
+    };
+    try {
+      sched.run(6, job);
+      FAIL() << "run: expected an exception, T=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "job 2") << "run, T=" << threads;
+    }
+    for (const auto& r : ran) EXPECT_EQ(r.load(), 1) << "run, T=" << threads;
+
+    for (auto& r : ran) r.store(0);
+    try {
+      sched.run_max_total(6, [&](int i, RoundLedger&) { job(i); });
+      FAIL() << "run_max_total: expected an exception, T=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "job 2") << "run_max_total, T=" << threads;
+    }
+    for (const auto& r : ran) {
+      EXPECT_EQ(r.load(), 1) << "run_max_total, T=" << threads;
+    }
   }
 }
 
