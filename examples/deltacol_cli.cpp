@@ -2,8 +2,7 @@
 //
 //   ./deltacol_cli <edge-list-file> [--alg small|large|det|ps|naive]
 //                  [--seed S] [--threads T] [--congest-bits B]
-//                  [--mode deterministic|fast] [--perturb-salt X]
-//                  [--paper-constants] [--dot out.dot]
+//                  [--perturb-salt X] [--paper-constants] [--dot out.dot]
 //
 // Reads an edge list ("n m" header, one "u v" pair per line, 0-based),
 // runs the chosen Delta-coloring algorithm, prints the coloring summary and
@@ -31,8 +30,7 @@ namespace {
 void usage(std::ostream& out) {
   out << "usage: deltacol_cli <edge-list> [--alg small|large|det|ps|naive]"
          " [--seed S] [--threads T] [--congest-bits B]"
-         " [--mode deterministic|fast] [--perturb-salt X]"
-         " [--paper-constants] [--dot out.dot]\n"
+         " [--perturb-salt X] [--paper-constants] [--dot out.dot]\n"
          "  --threads T   worker threads for the parallel runtime, 0.."
       << ThreadPool::kMaxThreads
       << " (0 = all\n"
@@ -45,13 +43,10 @@ void usage(std::ostream& out) {
          "                charges its LOCAL rounds at any B, so det reports\n"
          "                the same total at every B. Accounting only: the\n"
          "                coloring is identical for any B\n"
-         "  --mode deterministic|fast\n"
-         "                execution mode (runtime/execution_mode.h).\n"
-         "                deterministic (default): bit-identical results\n"
-         "                for every thread count. fast: relaxed\n"
-         "                merge/claim ordering — still a valid\n"
-         "                Delta-coloring, but only the validity contract is\n"
-         "                guaranteed across thread counts\n";
+         "  --perturb-salt X\n"
+         "                schedule perturbation (0 = off): jitters chunk\n"
+         "                counts and stalls threads; a determinism check,\n"
+         "                the output is identical for any X\n";
 }
 
 Algorithm parse_algorithm(const std::string& v) {
@@ -93,12 +88,6 @@ int main(int argc, char** argv) {
       } else if (a == "--congest-bits") {
         opt.congest_bits = parse_flag_int<std::int64_t>(
             a, flag_value(argc, argv, i, a), 0);
-      } else if (a == "--mode") {
-        const std::string v = flag_value(argc, argv, i, a);
-        if (!parse_execution_mode(v.c_str(), &opt.mode)) {
-          throw UsageError("--mode must be deterministic or fast, got '" + v +
-                           "'");
-        }
       } else if (a == "--perturb-salt") {
         opt.perturb_salt =
             parse_flag_int<std::uint64_t>(a, flag_value(argc, argv, i, a));

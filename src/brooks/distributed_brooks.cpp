@@ -1,7 +1,6 @@
 #include "brooks/distributed_brooks.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "coloring/brooks_seq.h"
@@ -289,7 +288,7 @@ void assert_disjoint_brooks_balls(const Graph& g, const std::vector<int>& bases,
 
 ScheduledBrooksFixes schedule_disjoint_brooks_fixes(
     const Graph& g, Coloring& c, const std::vector<int>& bases, int delta,
-    int max_radius, ThreadPool* pool, ExecutionMode mode) {
+    int max_radius, ThreadPool* pool) {
   const int k = static_cast<int>(bases.size());
   ScheduledBrooksFixes out;
   out.results.resize(static_cast<std::size_t>(k));
@@ -308,29 +307,13 @@ ScheduledBrooksFixes schedule_disjoint_brooks_fixes(
         brooks_fix(g, c, bases[static_cast<std::size_t>(i)], delta,
                    max_radius, &scratch, /*defer_emergency=*/true);
   };
-  if (mode == ExecutionMode::kFast && pool != nullptr &&
-      pool->num_threads() > 1) {
-    // Fast mode (see header): executors claim fixes first-come; each chunk
-    // still owns one scratch. The fixes commute, so the claim order is not
-    // observable.
-    std::atomic<int> next{0};
-    pool->parallel_chunks(std::min(pool->num_threads(), k), [&](int) {
-      BfsScratch scratch;
-      for (;;) {
-        const int i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= k) break;
-        fix_deferred(i, scratch);
-      }
-    });
-  } else {
-    pooled_ranges(
-        pool, 0, k,
-        [&](int /*chunk*/, int lo, int hi) {
-          BfsScratch scratch;
-          for (int i = lo; i < hi; ++i) fix_deferred(i, scratch);
-        },
-        pool != nullptr ? pool->num_threads() : 1);
-  }
+  pooled_ranges(
+      pool, 0, k,
+      [&](int /*chunk*/, int lo, int hi) {
+        BfsScratch scratch;
+        for (int i = lo; i < hi; ++i) fix_deferred(i, scratch);
+      },
+      pool != nullptr ? pool->num_threads() : 1);
 
   // Pass 2 — serial, ascending index: complete the deferred Lemma-27
   // emergencies with the component recolor enabled. A recolor touches the

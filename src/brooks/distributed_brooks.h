@@ -22,9 +22,11 @@
 #include "graph/graph.h"
 // perfbench/src/probes.cpp reaches VertexPartition through this include.
 #include "graph/partition.h"
-#include "runtime/execution_mode.h"
 
 namespace deltacol {
+
+// perfbench/src/probes.cpp names this type in its probe signatures.
+enum class ExecutionMode;
 
 class BfsScratch;   // graph/frontier_bfs.h
 class ThreadPool;   // runtime/thread_pool.h; nullptr = serial
@@ -96,17 +98,9 @@ struct ScheduledBrooksFixes {
 //
 // Results are bit-identical for every thread count: the parallel-pass fixes
 // commute (disjoint read/write sets) and the serial pass is index-ordered.
-//
-// `mode` (runtime/execution_mode.h) kFast drops the static contiguous
-// ranges of pass 1: executors claim fixes first-come
-// through an atomic cursor (walk costs vary wildly, so static ranges leave
-// executors idle behind a heavy chunk). Valid because the fixes commute —
-// the claim order is not observable in the coloring; pass 2 stays serial
-// and index-ordered either way.
 ScheduledBrooksFixes schedule_disjoint_brooks_fixes(
     const Graph& g, Coloring& c, const std::vector<int>& bases, int delta,
-    int max_radius, ThreadPool* pool,
-    ExecutionMode mode = ExecutionMode::kDeterministic);
+    int max_radius, ThreadPool* pool);
 
 // The paper's bound 2 log_{Delta-1} n, rounded up, plus slack for the DCC
 // diameter; a safe default max_radius for brooks_fix.

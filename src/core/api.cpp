@@ -201,9 +201,8 @@ DeltaColoringResult delta_color(const Graph& g, Algorithm alg,
   // One pool for the whole call (retries included); num_threads <= 1 spawns
   // no workers and the runtime takes its inline serial paths throughout.
   ThreadPool pool(ThreadPool::resolve_num_threads(opt.num_threads));
-  // Chaos-testing schedule perturbation (api.h): chunk-count jitter + stall
-  // injection, a pure function of (salt, shape) — deterministic-mode results
-  // are unchanged; fast-mode runs see hostile interleavings.
+  // Schedule perturbation (api.h): chunk-count jitter + stall injection, a
+  // pure function of (salt, shape) — results are unchanged by construction.
   pool.set_perturb_salt(opt.perturb_salt);
   ThreadPool* pool_ptr = pool.num_threads() > 1 ? &pool : nullptr;
   std::uint64_t seed = opt.seed;

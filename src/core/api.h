@@ -28,7 +28,6 @@
 #include "core/layering.h"
 #include "graph/graph.h"
 #include "local/round_ledger.h"
-#include "runtime/execution_mode.h"
 
 namespace deltacol {
 
@@ -105,28 +104,14 @@ struct DeltaColoringOptions {
   /// (enforced by tests/test_congest.cpp).
   std::int64_t congest_bits = 0;
 
-  /// Execution mode of the parallel runtime (runtime/execution_mode.h).
-  /// kDeterministic (default): colorings, ledgers and stats are bit-for-bit
-  /// identical for every thread count — the reference oracle, pinned
-  /// byte-for-byte by tests/test_golden_determinism.cpp.
-  /// kFast: the runtime drops replay/merge ordering wherever the algorithms
-  /// only need *a* valid outcome — atomics-based frontier claiming,
-  /// inboxes in merge order without the sort fallback, first-come claiming
-  /// of Brooks fixes.
-  /// Only VALIDITY is then guaranteed: a proper Delta-coloring, the same
-  /// color-count bound, rounds within the deterministic mode's bound,
-  /// CONGEST charges from the same order-free max fold (enforced by
-  /// tests/test_fast_mode.cpp under schedule perturbation). CLI: --mode fast.
-  ExecutionMode mode = ExecutionMode::kDeterministic;
-
-  /// Schedule-perturbation salt, a chaos-testing knob (0 = off, the
+  /// Schedule-perturbation salt, a determinism check (0 = off, the
   /// default). A nonzero salt makes the run's ThreadPool jitter its range
   /// chunk counts and inject sub-millisecond stalls ahead of chunk bodies —
-  /// pseudo-randomly from the salt, but as a pure function of (salt, shape),
-  /// so deterministic-mode results remain bit-identical (the chunk contract
-  /// says boundaries are never observable) while fast-mode runs see hostile
-  /// interleavings. Wall-clock only in deterministic mode; the fast-mode
-  /// cross-validation harness sweeps salts to hunt schedule-dependent bugs.
+  /// pseudo-randomly from the salt, but as a pure function of (salt, shape).
+  /// Results stay bit-identical to the unsalted run (the chunk contract says
+  /// boundaries and timing are never observable); only wall-clock changes.
+  /// tests/test_parallel_determinism.cpp sweeps salts to catch any
+  /// schedule-dependent output.
   std::uint64_t perturb_salt = 0;
 };
 

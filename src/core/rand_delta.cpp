@@ -171,7 +171,7 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
   Layering b_layers;
   std::vector<bool> in_h(static_cast<std::size_t>(n), true);
   if (!base.empty()) {
-    b_layers = build_layers(g, base, s, ctx.pool, ctx.opt.mode);
+    b_layers = build_layers(g, base, s, ctx.pool);
     ctx.ledger.charge(s, "rand/3-b-layers");
     for (int v = 0; v < n; ++v) {
       if (b_layers.layer[static_cast<std::size_t>(v)] != kNoLayer) {
@@ -223,7 +223,7 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
   // themselves (distances measured in H): a frontier BFS restricted to H.
   if (!boundary.empty()) {
     BfsScratch scratch;
-    FrontierBfs engine(ctx.pool, ctx.opt.mode);
+    FrontierBfs engine(ctx.pool);
     engine.run_multi_filtered(g, scratch, boundary, r, [&](int w) {
       return in_h[static_cast<std::size_t>(w)];
     });
@@ -263,8 +263,8 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
   Layering c_layers;
   std::vector<bool> in_c(static_cast<std::size_t>(n), false);
   if (!anchors.empty()) {
-    c_layers = build_layers_restricted(g, anchors, 2 * r, uncolored_h,
-                                       ctx.pool, ctx.opt.mode);
+    c_layers =
+        build_layers_restricted(g, anchors, 2 * r, uncolored_h, ctx.pool);
     for (int v = 0; v < n; ++v) {
       if (c_layers.layer[static_cast<std::size_t>(v)] != kNoLayer) {
         in_c[static_cast<std::size_t>(v)] = true;

@@ -94,7 +94,7 @@ std::vector<bool> aglp_independent_set(const Graph& aux, RoundLedger& ledger,
 std::vector<int> ruling_set(const Graph& g, const std::vector<int>& subset,
                             int alpha, RulingSetEngine engine, Rng* rng,
                             RoundLedger& ledger, std::string_view phase,
-                            ThreadPool* pool, ExecutionMode /*mode*/) {
+                            ThreadPool* pool) {
   DC_REQUIRE(alpha >= 1, "alpha must be >= 1");
   for (int s : subset) {
     DC_REQUIRE(0 <= s && s < g.num_vertices(), "subset vertex out of range");

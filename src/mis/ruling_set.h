@@ -20,7 +20,6 @@
 
 #include "graph/graph.h"
 #include "local/round_ledger.h"
-#include "runtime/execution_mode.h"
 #include "util/rng.h"
 
 namespace deltacol {
@@ -52,14 +51,12 @@ enum class RulingSetEngine {
 // Ruling set of `subset` (pass all vertices for a ruling set of G). rng may
 // be null for the deterministic engine. `pool` fans out the auxiliary-graph
 // engines' power-graph construction and Luby rounds; kDeterministic is
-// serial and ignores it. `mode` changes nothing: every engine runs the same
-// sweeps in both execution modes. With alpha = 1 every engine returns the
-// sorted distinct subset.
+// serial and ignores it. With alpha = 1 every engine returns the sorted
+// distinct subset.
 std::vector<int> ruling_set(const Graph& g, const std::vector<int>& subset,
                             int alpha, RulingSetEngine engine, Rng* rng,
                             RoundLedger& ledger, std::string_view phase,
-                            ThreadPool* pool = nullptr,
-                            ExecutionMode mode = ExecutionMode::kDeterministic);
+                            ThreadPool* pool = nullptr);
 
 // Greedy distance-alpha packing of `subset` in ascending id order: the
 // returned vertices (ascending, duplicates in `subset` collapsed) are

@@ -10,9 +10,12 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <string_view>
 #include <thread>
 
 #include "net/frame.h"
@@ -39,12 +42,30 @@ constexpr std::uint32_t kOwnedMagic = 0xDC0Eu;   // exchange_owned
 constexpr std::uint32_t kReduceMagic = 0xDC0Fu;  // allreduce_{sum,max}
 constexpr std::uint32_t kGatherMagic = 0xDC10u;  // gather_colors
 
+/// `text` as a base-10 integer in [lo, hi]: the whole token, no whitespace,
+/// no trailing characters. Throws ContractViolation naming `what` otherwise.
+int parse_int_token(std::string_view text, int lo, int hi,
+                    const std::string& what) {
+  int value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  DC_REQUIRE(!text.empty() && ec == std::errc() && ptr == end && lo <= value &&
+                 value <= hi,
+             what + " must be an integer in [" + std::to_string(lo) + ", " +
+                 std::to_string(hi) + "], got '" + std::string(text) + "'");
+  return value;
+}
+
+constexpr int kIntMax = std::numeric_limits<int>::max();
+constexpr int kMaxPort = 65535;
+
 /// DELTACOL_NET_TIMEOUT_MS (read once per transport, at construction):
 /// <= 0 / unset = wait forever (the original behavior).
 int net_timeout_from_env() {
   const char* s = std::getenv("DELTACOL_NET_TIMEOUT_MS");
   if (s == nullptr) return 0;
-  const int ms = std::atoi(s);
+  const int ms = parse_int_token(s, std::numeric_limits<int>::min(), kIntMax,
+                                 "DELTACOL_NET_TIMEOUT_MS");
   return ms > 0 ? ms : 0;
 }
 
@@ -257,16 +278,10 @@ std::vector<std::pair<std::string, int>> NetConfig::parse_endpoints(
     DC_REQUIRE(colon != std::string::npos && colon > 0 &&
                    colon + 1 < item.size(),
                "endpoint must be host:port, got '" + item + "'");
-    const std::string host = item.substr(0, colon);
-    int port = 0;
-    try {
-      port = std::stoi(item.substr(colon + 1));
-    } catch (const std::exception&) {
-      port = -1;
-    }
-    DC_REQUIRE(port > 0 && port < 65536,
-               "endpoint port out of range in '" + item + "'");
-    out.emplace_back(host, port);
+    const int port = parse_int_token(std::string_view(item).substr(colon + 1),
+                                     1, kMaxPort,
+                                     "endpoint port in '" + item + "'");
+    out.emplace_back(item.substr(0, colon), port);
     begin = end + 1;
   }
   return out;
@@ -275,7 +290,7 @@ std::vector<std::pair<std::string, int>> NetConfig::parse_endpoints(
 std::vector<std::pair<std::string, int>> NetConfig::localhost_endpoints(
     int world, int port_base) {
   DC_REQUIRE(world >= 1, "world must be positive");
-  DC_REQUIRE(port_base > 0 && port_base + world <= 65536,
+  DC_REQUIRE(port_base > 0 && port_base <= kMaxPort - (world - 1),
              "port range out of bounds");
   std::vector<std::pair<std::string, int>> out;
   out.reserve(static_cast<std::size_t>(world));
@@ -290,12 +305,17 @@ std::optional<NetConfig> NetConfig::from_env() {
   DC_REQUIRE(rank_s != nullptr && world_s != nullptr,
              "DELTACOL_RANK and DELTACOL_WORLD must be set together");
   NetConfig cfg;
-  cfg.rank = std::atoi(rank_s);
-  cfg.world = std::atoi(world_s);
+  cfg.world = parse_int_token(world_s, 1, kIntMax, "DELTACOL_WORLD");
+  cfg.rank = parse_int_token(rank_s, 0, cfg.world - 1, "DELTACOL_RANK");
   if (const char* eps = std::getenv("DELTACOL_ENDPOINTS")) {
     cfg.endpoints = parse_endpoints(eps);
   } else if (const char* base = std::getenv("DELTACOL_PORT_BASE")) {
-    cfg.endpoints = localhost_endpoints(cfg.world, std::atoi(base));
+    const int port_base =
+        parse_int_token(base, 1, kMaxPort, "DELTACOL_PORT_BASE");
+    // Rank r listens on DELTACOL_PORT_BASE + r: the last port must fit too.
+    DC_REQUIRE(port_base <= kMaxPort - (cfg.world - 1),
+               "DELTACOL_PORT_BASE + DELTACOL_WORLD - 1 exceeds 65535");
+    cfg.endpoints = localhost_endpoints(cfg.world, port_base);
   } else {
     DC_REQUIRE(false,
                "set DELTACOL_ENDPOINTS (host:port,...) or DELTACOL_PORT_BASE");

@@ -78,14 +78,6 @@
 /// Additional contract on the callbacks (trivially satisfied by per-node
 /// LOCAL algorithms): send(v, state, out) reads only v's state and the
 /// graph; receive(v, state, inbox) mutates only v's state.
-///
-/// **Fast mode** (ExecutionMode::kFast, runtime/execution_mode.h) skips the
-/// is_sorted check and the stable-sort fallback, so inbox order handed to
-/// receive() is merge order, which is not ascending sender order under a
-/// renumbered partition. It is only for receive callbacks that are
-/// order-insensitive — which every per-node LOCAL algorithm in this tree is
-/// (min-folds and full scans). CONGEST charges are unchanged: the per-edge
-/// tally and the max fold never depended on merge order.
 #pragma once
 
 #include <algorithm>
@@ -128,14 +120,12 @@ class ParallelSyncEngine {
   /// records per-round message volume on it.
   ParallelSyncEngine(const Graph& g, RoundLedger& ledger, std::string phase,
                      ThreadPool* pool = nullptr,
-                     ShardRuntime* shards = nullptr,
-                     ExecutionMode mode = ExecutionMode::kDeterministic)
+                     ShardRuntime* shards = nullptr)
       : graph_(g),
         ledger_(ledger),
         phase_(std::move(phase)),
         pool_(pool),
-        shards_(shards),
-        mode_(mode) {
+        shards_(shards) {
     int send_shards = 1;
     int arenas = 1;
     if (shards_ != nullptr) {
@@ -301,11 +291,11 @@ class ParallelSyncEngine {
   }
 
   // The receive sweep over a merged arena whose inbox i belongs to the
-  // vertex at layout position base + i. Per inbox, in one pass: the
-  // deterministic-mode stable sort by sender, run only when the merge left
-  // the inbox out of order (a renumbered partition's shard-major merge; the
-  // sort keeps ties in emission order because each sender's messages to one
-  // destination sit in one slot in emission order), the CONGEST load, and
+  // vertex at layout position base + i. Per inbox, in one pass: the stable
+  // sort by sender, run only when the merge left the inbox out of order (a
+  // renumbered partition's shard-major merge; the sort keeps ties in
+  // emission order because each sender's messages to one destination sit
+  // in one slot in emission order), the CONGEST load, and
   // receive. Every step touches only inbox i and state i, so one barrier
   // does all three. Returns the heaviest directed edge's bits (0 outside
   // CONGEST mode); the max fold is order-free, so the charge is
@@ -314,7 +304,6 @@ class ParallelSyncEngine {
                              const RecvFn& receive) {
     const int count = arena.size();
     const bool congest = ledger_.congest_bits() > 0;
-    const bool sort = mode_ == ExecutionMode::kDeterministic;
     std::vector<std::int64_t> chunk_bits(
         static_cast<std::size_t>(chunk_count(count)), 0);
     const auto by_sender = [](const auto& a, const auto& b) {
@@ -324,7 +313,7 @@ class ParallelSyncEngine {
       std::int64_t heaviest = 0;
       for (int i = lo; i < hi; ++i) {
         const auto inbox = arena.inbox(i);
-        if (sort && !std::is_sorted(inbox.begin(), inbox.end(), by_sender)) {
+        if (!std::is_sorted(inbox.begin(), inbox.end(), by_sender)) {
           std::stable_sort(inbox.begin(), inbox.end(), by_sender);
         }
         if (congest) {
@@ -569,7 +558,6 @@ class ParallelSyncEngine {
   std::string phase_;
   ThreadPool* pool_;
   ShardRuntime* shards_;
-  ExecutionMode mode_ = ExecutionMode::kDeterministic;
   ExchangePolicy policy_ = ExchangePolicy::kReplicated;
   int local_shard_ = -1;   // transport.local_shard(), cached at construction
   bool owner_dist_ = false;  // owner-routed AND distributed: owned-only state

@@ -62,7 +62,7 @@ class ThreadPool {
   /// ContractViolation, anything else is clamped to >= 1.
   static int resolve_num_threads(int requested);
 
-  /// Schedule perturbation (chaos testing; DeltaColoringOptions::
+  /// Schedule perturbation (a determinism check; DeltaColoringOptions::
   /// perturb_salt). A nonzero salt (a) jitters the chunk count
   /// num_range_chunks returns — still a pure function of
   /// (count, max_chunks, salt), so pre-sized per-chunk buffers stay
@@ -70,8 +70,8 @@ class ThreadPool {
   /// sub-millisecond sleeps ahead of pseudo-randomly chosen chunk bodies in
   /// parallel_chunks, scrambling which thread reaches shared state first.
   /// Results of callers honoring the chunk-index discipline are unchanged
-  /// (boundaries and timing are never observable); fast-mode code paths see
-  /// hostile interleavings. 0 (default) disables both.
+  /// (boundaries and timing are never observable), which the salted
+  /// determinism tests check. 0 (default) disables both.
   void set_perturb_salt(std::uint64_t salt) { perturb_salt_ = salt; }
   std::uint64_t perturb_salt() const { return perturb_salt_; }
 

@@ -1,12 +1,10 @@
-// Golden regression for the deterministic mode: the fingerprints below were
-// captured from the tree BEFORE ExecutionMode::kFast landed, so this suite
-// is the proof that adding the relaxed-order engines left kDeterministic
-// byte-for-byte untouched — not just shape-invariant (which
-// test_parallel_determinism already pins) but identical to the historical
-// results. If a change legitimately alters deterministic output (a new
-// phase, a different charge), regenerate the table with the generator in
-// tests/README.md and say so in the commit; an unexplained mismatch is a
-// determinism regression.
+// Golden regression for the runtime: the fingerprints below are frozen
+// historical results, so this suite pins every run not just as
+// shape-invariant (which test_parallel_determinism already pins) but as
+// identical to the recorded output. If a change legitimately alters the
+// output (a new phase, a different charge), regenerate the table with the
+// generator in tests/README.md and say so in the commit; an unexplained
+// mismatch is a determinism regression.
 //
 // The fingerprint folds every observable of a DeltaColoringResult — the
 // coloring bytes, Delta, the ledger total and per-phase breakdown, and all

@@ -3,9 +3,13 @@
 // a fixed seed, bit-identical colorings, identical RoundLedger totals and
 // per-phase breakdowns, and identical PhaseStats to the serial path
 // (num_threads = 1 takes the runtime's inline serial branches everywhere).
+// Schedule perturbation (DeltaColoringOptions::perturb_salt: jittered chunk
+// counts and injected thread stalls) must not move any of them either.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/api.h"
@@ -130,7 +134,8 @@ TEST(ParallelDeterminism, LeftoverComponentSchedulerIsDeterministic) {
   // SEVERAL leftover components inside one nice component, so Phase (6)'s
   // inner ComponentScheduler fan-out — not just the outer per-component one
   // — is what runs here. Pre-split RNG streams, index-private ledgers/stats
-  // and the max-total charge must make every observable thread-invariant.
+  // and the max-total charge must make every observable thread-invariant,
+  // with and without salted schedules (jittered chunks, injected stalls).
   const Graph g = triangle_cactus(5000);
   DeltaColoringOptions serial_opt;
   serial_opt.seed = 9;
@@ -142,16 +147,47 @@ TEST(ParallelDeterminism, LeftoverComponentSchedulerIsDeterministic) {
   ASSERT_GE(serial.stats.leftover_components, 2)
       << "workload no longer exercises the Phase-(6) fan-out";
 
-  for (int threads : {2, 8}) {
+  const std::pair<int, std::uint64_t> shapes[] = {
+      {2, 0}, {8, 0}, {8, 5}, {8, 11}};
+  for (const auto& [threads, salt] : shapes) {
     DeltaColoringOptions opt = serial_opt;
     opt.num_threads = threads;
+    opt.perturb_salt = salt;
     const DeltaColoringResult res =
         delta_color(g, Algorithm::kRandomizedSmall, opt);
-    const std::string label =
-        "leftover-scheduler / " + std::to_string(threads) + " threads";
+    const std::string label = "leftover-scheduler / " +
+                              std::to_string(threads) + " threads / salt " +
+                              std::to_string(salt);
     EXPECT_EQ(res.coloring, serial.coloring) << label;
     expect_same_ledger(res.ledger, serial.ledger, label);
     expect_same_stats(res.stats, serial.stats, label);
+  }
+}
+
+// perturb_salt jitters chunk counts and injects stalls (thread_pool.cpp) as
+// a pure function of (salt, shape): every observable of a salted run must
+// equal the unsalted run at the same thread count.
+TEST(ParallelDeterminism, PerturbationSaltSweepIsBitIdentical) {
+  Rng rng(83);
+  const Graph g = random_regular(600, 5, rng);
+  for (Algorithm alg : kAllAlgorithms) {
+    DeltaColoringOptions base;
+    base.seed = 7;
+    base.num_threads = 8;
+    const DeltaColoringResult ref = delta_color(g, alg, base);
+    validate_delta_coloring(g, ref.coloring, ref.delta);
+
+    for (std::uint64_t salt : {1ull, 2ull, 0x9e3779b97f4a7c15ull}) {
+      DeltaColoringOptions opt = base;
+      opt.perturb_salt = salt;
+      const DeltaColoringResult res = delta_color(g, alg, opt);
+      const std::string label =
+          std::string(algorithm_name(alg)) + " / salt " + std::to_string(salt);
+      EXPECT_EQ(res.coloring, ref.coloring) << label;
+      EXPECT_EQ(res.delta, ref.delta) << label;
+      expect_same_ledger(res.ledger, ref.ledger, label);
+      expect_same_stats(res.stats, ref.stats, label);
+    }
   }
 }
 

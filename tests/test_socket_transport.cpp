@@ -172,6 +172,16 @@ TEST(SocketTransport, PeerHangupMidExchangeThrows) {
 
 // --- NetConfig -------------------------------------------------------------
 
+// Restores (unsets) an environment variable on scope exit, so a test that
+// fails mid-way cannot leak its value into later tests.
+struct EnvGuard {
+  std::string name;
+  EnvGuard(const std::string& n, const std::string& value) : name(n) {
+    ::setenv(name.c_str(), value.c_str(), 1);
+  }
+  ~EnvGuard() { ::unsetenv(name.c_str()); }
+};
+
 TEST(NetConfig, ParsesEndpointLists) {
   const auto eps = NetConfig::parse_endpoints("127.0.0.1:4000,example.com:81");
   ASSERT_EQ(eps.size(), 2u);
@@ -184,6 +194,18 @@ TEST(NetConfig, ParsesEndpointLists) {
   EXPECT_THROW(NetConfig::parse_endpoints(":80"), ContractViolation);
   EXPECT_THROW(NetConfig::parse_endpoints("host:notaport"), ContractViolation);
   EXPECT_THROW(NetConfig::parse_endpoints("host:99999"), ContractViolation);
+  // The port is the whole token after the last colon, in [1, 65535].
+  for (const char* bad : {"127.0.0.1:7000x", "host:+80", "host: 80", "host:0",
+                          "host:65536"}) {
+    try {
+      NetConfig::parse_endpoints(std::string("a:1,") + bad);
+      ADD_FAILURE() << bad << " accepted";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + bad + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(NetConfig, LocalhostEndpointsAndValidation) {
@@ -227,6 +249,86 @@ TEST(NetConfig, FromEnvRoundTrip) {
   ASSERT_EQ(::unsetenv("DELTACOL_RANK"), 0);
   ASSERT_EQ(::unsetenv("DELTACOL_PORT_BASE"), 0);
   EXPECT_FALSE(NetConfig::from_env().has_value());
+}
+
+// The ContractViolation message of NetConfig::from_env under the given
+// rank/world/port-base environment, or "" if it parses.
+std::string from_env_error(const char* rank, const char* world,
+                           const char* port_base) {
+  const EnvGuard r("DELTACOL_RANK", rank);
+  const EnvGuard w("DELTACOL_WORLD", world);
+  const EnvGuard b("DELTACOL_PORT_BASE", port_base);
+  try {
+    NetConfig::from_env();
+  } catch (const ContractViolation& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Every numeric variable is one whole base-10 token in range: trailing
+// garbage, empty values, signs, whitespace, out-of-range ports and a port
+// base whose last rank would pass 65535 all throw, naming the variable
+// instead of running on a misread value.
+TEST(NetConfig, FromEnvRejectsMalformedValues) {
+  struct Case {
+    const char* rank;
+    const char* world;
+    const char* port_base;
+    const char* names;
+  };
+  const Case cases[] = {
+      {"1x", "2", "4700", "DELTACOL_RANK must be"},
+      {"", "2", "4700", "DELTACOL_RANK must be"},
+      {"-1", "2", "4700", "DELTACOL_RANK must be"},
+      {"2", "2", "4700", "DELTACOL_RANK must be"},
+      {"0", "2x", "4700", "DELTACOL_WORLD must be"},
+      {"0", "", "4700", "DELTACOL_WORLD must be"},
+      {"0", " 2", "4700", "DELTACOL_WORLD must be"},
+      {"0", "0", "4700", "DELTACOL_WORLD must be"},
+      {"0", "99999999999", "4700", "DELTACOL_WORLD must be"},
+      {"1", "2", "47a", "DELTACOL_PORT_BASE"},
+      {"1", "2", "", "DELTACOL_PORT_BASE"},
+      {"1", "2", "+4700", "DELTACOL_PORT_BASE"},
+      {"1", "2", "0", "DELTACOL_PORT_BASE"},
+      {"1", "2", "65536", "DELTACOL_PORT_BASE"},
+      {"1", "2", "99999999999", "DELTACOL_PORT_BASE"},
+      {"1", "2", "65535", "DELTACOL_PORT_BASE"},  // rank 1 would need 65536
+      {"1", "3", "65534", "DELTACOL_PORT_BASE"},
+  };
+  for (const Case& c : cases) {
+    const std::string label = std::string("rank='") + c.rank + "' world='" +
+                              c.world + "' port_base='" + c.port_base + "'";
+    const std::string msg = from_env_error(c.rank, c.world, c.port_base);
+    EXPECT_NE(msg.find(c.names), std::string::npos) << label << ": " << msg;
+  }
+  // The last port that fits is accepted.
+  {
+    const EnvGuard r("DELTACOL_RANK", "1");
+    const EnvGuard w("DELTACOL_WORLD", "2");
+    const EnvGuard b("DELTACOL_PORT_BASE", "65534");
+    const auto cfg = NetConfig::from_env();
+    ASSERT_TRUE(cfg.has_value());
+    EXPECT_EQ(cfg->endpoints[1].second, 65535);
+  }
+
+  // DELTACOL_NET_TIMEOUT_MS is read when a transport is built; a one-rank
+  // transport owns no sockets, so the throw leaks nothing.
+  for (const char* bad : {"300x", "", "3e2", "99999999999"}) {
+    const EnvGuard t("DELTACOL_NET_TIMEOUT_MS", bad);
+    try {
+      SocketTransport lonely(0, 1, std::vector<int>{-1});
+      ADD_FAILURE() << "DELTACOL_NET_TIMEOUT_MS='" << bad << "' accepted";
+    } catch (const ContractViolation& ex) {
+      EXPECT_NE(std::string(ex.what()).find("DELTACOL_NET_TIMEOUT_MS"),
+                std::string::npos)
+          << ex.what();
+    }
+  }
+  for (const char* good : {"300", "0", "-1"}) {
+    const EnvGuard t("DELTACOL_NET_TIMEOUT_MS", good);
+    EXPECT_NO_THROW(SocketTransport(0, 1, std::vector<int>{-1})) << good;
+  }
 }
 
 // --- the all-gather primitive ----------------------------------------------
@@ -319,16 +421,6 @@ TEST(RankLoader, HaloAdjacencyArrivesIntactOverTheWire) {
 }
 
 // --- the owner-routed primitive --------------------------------------------
-
-// Restores (unsets) an environment variable on scope exit, so a test that
-// fails mid-way cannot leak its timeout into later tests.
-struct EnvGuard {
-  std::string name;
-  EnvGuard(const std::string& n, const std::string& value) : name(n) {
-    ::setenv(name.c_str(), value.c_str(), 1);
-  }
-  ~EnvGuard() { ::unsetenv(name.c_str()); }
-};
 
 TEST(SocketTransport, ExchangeOwnedMovesOnlyOffDiagonalSlots) {
   auto [t0, t1] = loopback_pair();
