@@ -11,16 +11,22 @@
 //      - wire_bytes:     physical frame bytes both ranks sent (transport
 //                        counters — length prefixes included);
 //      - ratio:          wire / logical, the cost of addressing + framing.
-//        Luby's 65-bit messages cost 9 payload bytes + 8 addressing bytes
-//        on the wire vs 8.125 charged bytes, so the ratio sits a little
-//        above 2 and falls as rows amortize their fixed 32-byte header;
+//        Only cross-shard envelopes ship (owner routing): each costs 9
+//        payload bytes + 8 addressing bytes on the wire, and each rank's
+//        local envelopes cost nothing, so the ratio sits near 17/8.125 ×
+//        the cross-edge fraction — 1.07–1.08 at S = 2 on these random
+//        8-regular graphs, where about half the edges cross;
 //      - overhead_ok:    1 iff wire_bytes equals the closed-form
-//                        prediction from the runtime's envelope counters
-//                        (32 fixed bytes per frame + 17 per envelope) —
-//        i.e. the framing overhead is EXACTLY the documented constants
-//        (kFramePrefixBytes, exchange header, kWireSlotPrefixBytes,
-//        kWireEnvelopeOverheadBytes), re-derived here from first
-//        principles;
+//                        prediction from the runtime's counters — per
+//                        engine round one owned frame (64 fixed bytes at
+//                        S = 2) + 17 per outgoing cross envelope, per Luby
+//                        iteration one allreduce_sum frame (24 bytes), and
+//                        one gather_colors frame (20 + 4 per owned vertex)
+//                        at the end — i.e. the framing overhead is EXACTLY
+//        the documented constants (kFramePrefixBytes, the owned-frame
+//        header, kWireSlotPrefixBytes, kWireEnvelopeOverheadBytes, the
+//        reduce and gather frames of net/socket_transport.cpp), re-derived
+//        here from first principles;
 //      - identical:      1 iff both ranks' MIS, ledgers and byte counters
 //        equal the in-process S=2 golden run (the differential contract,
 //        re-asserted on every row).
@@ -60,8 +66,9 @@ struct RankResult {
   std::int64_t ledger_total = 0;
   std::int64_t total_bits = 0;
   std::int64_t wire_sent = 0;
-  std::int64_t sent_envelopes = 0;  // sum of this rank's outgoing slots
+  std::int64_t sent_envelopes = 0;  // this rank's outgoing cross envelopes
   std::int64_t rounds = 0;
+  std::int64_t owned = 0;  // vertices this rank's shard owns
 };
 
 void E17_WireVolume(benchmark::State& state) {
@@ -110,22 +117,30 @@ void E17_WireVolume(benchmark::State& state) {
         out.rounds = rt.rounds_recorded();
         auto& st = static_cast<SocketTransport&>(rt.transport());
         out.wire_sent = st.wire_bytes_sent();
+        out.owned = rt.view(r).num_owned();
         out.sent_envelopes = 0;
         for (int d = 0; d < kWorld; ++d) {
-          out.sent_envelopes += rt.slot_messages(r, d);
+          if (d != r) out.sent_envelopes += rt.slot_messages(r, d);
         }
       });
     }
     for (auto& t : threads) t.join();
   }
 
-  // Closed-form framing prediction per rank: every engine round ships one
-  // frame to the (world-1) peer(s). Fixed bytes per frame: the 4-byte frame
-  // length prefix + the 12-byte exchange header (sender, seq, slot count) +
-  // per slot a 4-byte length and the 4-byte envelope-count prefix. Variable
-  // bytes: 8 addressing + 9 Luby payload per envelope.
-  constexpr std::int64_t kFixedPerFrame =
-      kFramePrefixBytes + 12 + kWorld * (4 + kWireSlotPrefixBytes);
+  // Closed-form framing prediction per rank; every frame goes to each of
+  // the (world-1) peers and pays the 4-byte frame length prefix.
+  //  * Owned frame, one per engine round: 5 u32 header fields (tag, sender,
+  //    seq, destination, world) + world × (u64 count + u64 bits) tally row
+  //    + the u32 slot length + the slot's 4-byte envelope-count prefix.
+  //    Variable bytes: 8 addressing + 9 Luby payload per cross envelope.
+  //  * Reduce frame (allreduce_sum), one per Luby iteration = two engine
+  //    rounds: 3 u32 (tag, sender, seq) + the u64 value.
+  //  * Gather frame (gather_colors), once: 4 u32 (tag, sender, seq, count)
+  //    + one u32 per owned vertex.
+  constexpr std::int64_t kOwnedFrameFixed =
+      kFramePrefixBytes + 5 * 4 + kWorld * 16 + 4 + kWireSlotPrefixBytes;
+  constexpr std::int64_t kReduceFrame = kFramePrefixBytes + 3 * 4 + 8;
+  constexpr std::int64_t kGatherFrameFixed = kFramePrefixBytes + 4 * 4;
   constexpr std::int64_t kLubyPayloadBytes = 9;  // ceil(1/8) + ceil(64/8)
   constexpr std::int64_t kPerEnvelope =
       kWireEnvelopeOverheadBytes + kLubyPayloadBytes;
@@ -138,8 +153,10 @@ void E17_WireVolume(benchmark::State& state) {
                 rr.ledger_total == golden_ledger &&
                 rr.total_bits == golden_bits;
     const std::int64_t predicted =
-        (kWorld - 1) *
-        (rr.rounds * kFixedPerFrame + rr.sent_envelopes * kPerEnvelope);
+        (kWorld - 1) * (rr.rounds * kOwnedFrameFixed + rr.sent_envelopes *
+                                                           kPerEnvelope) +
+        (kWorld - 1) * (rr.rounds / 2) * kReduceFrame +
+        (kWorld - 1) * (kGatherFrameFixed + 4 * rr.owned);
     overhead_ok = overhead_ok && rr.wire_sent == predicted;
     wire_total += rr.wire_sent;
   }

@@ -30,11 +30,10 @@
 //
 //  * E18_WirePayload — 2 ranks over a socketpair per workload, one run per
 //    strategy: wire_cross_contig / wire_cross_cluster are the encoded
-//    payload bytes addressed to the peer rank
-//    (SocketTransport::cross_payload_bytes — what an owner-routed exchange
-//    puts on the wire; the replicated merge's physical bytes are
-//    partition-invariant, see net/socket_transport.h), wire_cut_pct the
-//    relative drop, identical the cross-strategy bit-identity.
+//    slot payload bytes the ranks framed to each other
+//    (SocketTransport::cross_payload_bytes, measured on the owner-routed
+//    exchange), wire_cut_pct the relative drop, identical the
+//    cross-strategy bit-identity.
 //
 // Emission: wall-clock per row, BENCH_e18.json when DELTACOL_BENCH_JSON is
 // set under the minibench harness (schema in bench/README.md), CSV via

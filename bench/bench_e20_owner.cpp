@@ -1,32 +1,29 @@
-// E20 — owner-compute distributed execution (ExchangePolicy::kOwnerRouted).
+// E20 — owner-compute distributed execution (DESIGN.md §6,
+// "Owner-compute").
 //
-// The claim: routing each round's envelopes point-to-point to their owner
-// rank — instead of all-gathering full mailbox rows and replaying every
-// shard's merge on every rank — cuts the physical wire bytes to exactly the
-// cross-shard payload PR 8's locality experiment predicted
-// (SocketTransport::cross_payload_bytes, which under the replicated
-// discipline is a prediction and under exchange_owned is the measured slot
-// payload, asserted equal per frame), while every observable stays
-// bit-identical (DESIGN.md §6, "Owner-compute").
+// The claim: a distributed round routes each envelope point-to-point to the
+// rank that owns its destination, so the physical wire bytes are the
+// cross-shard slot payload (SocketTransport::cross_payload_bytes, asserted
+// equal per frame) plus fixed framing, while every observable stays
+// bit-identical to the unsharded oracle.
 //
 // Workloads: the id-scrambled 2-D grid and triangle cactus from E18 (the
 // scramble destroys construction-order locality, so the contiguous
 // partition pays the pessimistic cut and the cluster partition shows the
-// compounding win: locality cuts WHAT crosses, owner routing cuts WHAT
-// SHIPS). Per (workload, S ∈ {2, 4, 8}, partition ∈ {contiguous, cluster})
+// compounding win: locality cuts WHAT crosses, owner routing ships only
+// that). Per (workload, S ∈ {2, 4, 8}, partition ∈ {contiguous, cluster})
 // row, S real ranks run Luby's MIS concurrently over a full socketpair
-// mesh, once per exchange policy:
+// mesh:
 //
-//   - wire_repl / wire_owner: total physical bytes sent (frame payloads +
-//     prefixes) across all ranks, per policy; wire_cut_pct the drop;
-//   - payload_pred / payload_owner: cross_payload_bytes summed over ranks —
-//     the replicated run's prediction and the owner run's realization;
-//     prediction_ok = 1 iff they are equal (the acceptance criterion:
-//     physical payload == predicted payload, framing accounted separately);
-//   - wall_ms_repl / wall_ms_owner: slowest rank's wall-clock for the whole
-//     Luby run (rank-local merge/receive + wire), per policy;
-//   - identical: 1 iff every rank's MIS under BOTH policies equals the
-//     unsharded oracle's.
+//   - wire_owner: total physical bytes sent (frame payloads + prefixes)
+//     across all ranks;
+//   - payload_owner: cross_payload_bytes summed over ranks;
+//   - wall_ms_owner: slowest rank's wall-clock for the whole Luby run
+//     (rank-local merge/receive + wire);
+//   - identical: 1 iff every rank's MIS equals the unsharded oracle's.
+//
+// The replicated all-gather these rows were first compared against is
+// deleted; its measured numbers are kept in EXPERIMENTS.md (E20 notes).
 //
 // Emission: BENCH_e20.json when DELTACOL_BENCH_JSON is set under the
 // minibench harness (schema in bench/README.md), CSV via DELTACOL_CSV_DIR.
@@ -82,10 +79,9 @@ struct MeshRun {
   bool identical = true;          // every rank's MIS == oracle
 };
 
-// S ranks on S threads over a full socketpair mesh, one Luby run under the
-// given exchange policy.
+// S ranks on S threads over a full socketpair mesh, one Luby run.
 MeshRun run_mesh(const Graph& g, const VertexPartition& part, int world,
-                 ExchangePolicy policy, const std::vector<bool>& oracle) {
+                 const std::vector<bool>& oracle) {
   MeshRun out;
   std::vector<std::vector<int>> fds(
       static_cast<std::size_t>(world),
@@ -108,7 +104,6 @@ MeshRun run_mesh(const Graph& g, const VertexPartition& part, int world,
         g, part, nullptr,
         std::make_unique<SocketTransport>(
             r, world, std::move(fds[static_cast<std::size_t>(r)])));
-    rts[static_cast<std::size_t>(r)]->set_exchange_policy(policy);
   }
   std::vector<std::thread> threads;
   std::vector<std::vector<bool>> mis(static_cast<std::size_t>(world));
@@ -155,28 +150,17 @@ void E20_OwnerRouted(benchmark::State& state) {
     oracle = luby_mis_message_passing(g, rng, ledger, "mis");
   }
 
-  MeshRun repl, owner;
+  MeshRun owner;
   for (auto _ : state) {
-    repl = run_mesh(g, part, world, ExchangePolicy::kReplicated, oracle);
-    owner = run_mesh(g, part, world, ExchangePolicy::kOwnerRouted, oracle);
+    owner = run_mesh(g, part, world, oracle);
   }
 
   state.counters["shards"] = world;
   state.counters["strategy"] = strategy;
-  state.counters["wire_repl"] = static_cast<double>(repl.wire_sent);
   state.counters["wire_owner"] = static_cast<double>(owner.wire_sent);
-  state.counters["wire_cut_pct"] =
-      repl.wire_sent > 0
-          ? 100.0 * (1.0 - static_cast<double>(owner.wire_sent) /
-                               static_cast<double>(repl.wire_sent))
-          : 0.0;
-  state.counters["payload_pred"] = static_cast<double>(repl.cross_payload);
   state.counters["payload_owner"] = static_cast<double>(owner.cross_payload);
-  state.counters["prediction_ok"] =
-      repl.cross_payload == owner.cross_payload ? 1.0 : 0.0;
-  state.counters["wall_ms_repl"] = repl.wall_ms_max;
   state.counters["wall_ms_owner"] = owner.wall_ms_max;
-  state.counters["identical"] = repl.identical && owner.identical ? 1.0 : 0.0;
+  state.counters["identical"] = owner.identical ? 1.0 : 0.0;
 
   std::map<std::string, double> row;
   row["arg0"] = static_cast<double>(which);

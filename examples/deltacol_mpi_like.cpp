@@ -14,8 +14,9 @@
 //      halo, and fetches the halo adjacency from the owning ranks over the
 //      wire (net/rank_loader.h) — verified against the full graph;
 //   2. runs Luby's MIS on the message-passing engine over the socket
-//      transport: sends are genuinely partitioned (run_shards executes only
-//      the local rank's body) and every round's mailbox row crosses TCP.
+//      transport, owner-computed: each rank holds and updates only its own
+//      shard, and every round ships only the cross-shard slots over TCP to
+//      the rank that owns their destination.
 //
 // The Delta-coloring pipeline does not run here: it is in-process only
 // (delta_color), and no phase of it is split across ranks yet.
@@ -61,8 +62,7 @@ void usage(std::ostream& out) {
          "         [--transport tcp|inproc] [--rank R --world W]\n"
          "         [--endpoints host:port,...] [--port-base P]\n"
          "         [--seed S] [--congest-bits B]\n"
-         "         [--partition contiguous|cluster]\n"
-         "         [--exchange replicated|owner] [--out FILE]\n"
+         "         [--partition contiguous|cluster] [--out FILE]\n"
          "  tcp     one process per rank; rank/world/endpoints from flags or\n"
          "          DELTACOL_RANK/DELTACOL_WORLD/DELTACOL_ENDPOINTS env\n"
          "  inproc  single-process reference producing the canonical output\n"
@@ -71,15 +71,7 @@ void usage(std::ostream& out) {
          "          shard ownership map (graph/renumber.h). Placement only:\n"
          "          all canonical lines except the slice/cross-edge stats are\n"
          "          identical for either choice; cluster cuts the cross-rank\n"
-         "          payload reported on the \"# rank=\" lines\n"
-         "  --exchange replicated|owner\n"
-         "          how Luby's message-passing MIS moves envelopes\n"
-         "          between ranks (runtime/execution_mode.h). replicated\n"
-         "          all-gathers full mailbox rows; owner ships only\n"
-         "          cross-shard slots point-to-point and merges rank-locally\n"
-         "          over owned state. Canonical output is bit-identical\n"
-         "          either way (DESIGN.md section 6, owner-compute); only the\n"
-         "          \"# rank=\" wire counters change\n";
+         "          payload reported on the \"# rank=\" lines\n";
 }
 
 std::uint64_t fnv1a(const void* data, std::size_t len) {
@@ -113,7 +105,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   std::int64_t congest_bits = 0;
   PartitionStrategy strategy = PartitionStrategy::kContiguous;
-  ExchangePolicy exchange = ExchangePolicy::kReplicated;
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string a = argv[i];
@@ -148,12 +139,6 @@ int main(int argc, char** argv) {
         const std::string v = flag_value(argc, argv, i, a);
         if (!parse_partition_strategy(v, &strategy)) {
           throw UsageError("--partition must be contiguous or cluster, got '" +
-                           v + "'");
-        }
-      } else if (a == "--exchange") {
-        const std::string v = flag_value(argc, argv, i, a);
-        if (!parse_exchange_policy(v.c_str(), &exchange)) {
-          throw UsageError("--exchange must be replicated or owner, got '" +
                            v + "'");
         }
       } else if (a == "--out") {
@@ -213,7 +198,7 @@ int main(int argc, char** argv) {
         << " m=" << g.num_edges() << " delta=" << g.max_degree()
         << " world=" << S << " seed=" << seed << " congest-bits="
         << congest_bits << " partition=" << partition_strategy_name(strategy)
-        << " exchange=" << exchange_policy_name(exchange) << "\n";
+        << "\n";
 
     // --- 1. per-rank slice + halo -----------------------------------------
     // The canonical table covers every rank (a pure function of the
@@ -252,11 +237,6 @@ int main(int argc, char** argv) {
     } else {
       runtime = std::make_unique<ShardRuntime>(g, part, nullptr);
     }
-    // The exchange policy applies to the message-passing step (3): under
-    // --transport inproc the in-process backend round-trips cross-shard
-    // slots through the codec under the owner policy, so the reference
-    // covers both wire disciplines hermetically.
-    runtime->set_exchange_policy(exchange);
 
     // --- 2. halo adjacency over the wire ----------------------------------
     if (tcp) {
@@ -290,7 +270,7 @@ int main(int argc, char** argv) {
       out << "halo-exchange: verified\n";
     }
 
-    // --- 3. Luby's MIS with every round's mailbox row over the wire -------
+    // --- 3. Luby's MIS with every round's cross-shard slots over the wire ---
     {
       Rng rng(seed);
       RoundLedger ledger;
@@ -307,8 +287,7 @@ int main(int argc, char** argv) {
           << runtime->rounds_recorded() << "\n";
       if (tcp) {
         auto& st = static_cast<SocketTransport&>(runtime->transport());
-        out << "# rank=" << cfg.rank << " exchange="
-            << exchange_policy_name(exchange) << " wire-bytes-sent="
+        out << "# rank=" << cfg.rank << " wire-bytes-sent="
             << st.wire_bytes_sent() << " wire-bytes-received="
             << st.wire_bytes_received() << " frames=" << st.frames_sent()
             << " cross-payload-bytes=" << st.cross_payload_bytes() << "\n";

@@ -4,39 +4,28 @@
 # canonical output to be byte-identical to the in-process reference.
 #
 #   scripts/run_local_cluster.sh [BUILD_DIR] [WORLD] \
-#       [--partition contiguous|cluster] [--exchange replicated|owner]
+#       [--partition contiguous|cluster]
 #
 # BUILD_DIR defaults to ./build, WORLD to 2, --partition picks the shard
-# ownership map (graph/renumber.h) and --exchange the wire discipline
-# (runtime/execution_mode.h): replicated all-gathers full mailbox rows,
-# owner ships only cross-shard slots point-to-point and merges rank-locally.
-# Canonical output is checked the same way for any combination, since both
-# knobs are placement/transport-only. Canonical output is every line of
-# deltacol_mpi_like not starting with "# " (rank-local wire counters are
-# "# "-prefixed and excluded; see the launcher's file comment).
-#
-# Under --exchange owner each workload additionally runs the replicated
-# cluster so the script can print the REALIZED per-rank wire-byte reduction
-# (owner vs replicated physical bytes on the same workload/partition) — the
-# owner-compute win measured on real sockets, not predicted.
+# ownership map (graph/renumber.h). Every rank is owner-computed: it ships
+# only cross-shard slots point-to-point and merges rank-locally. Canonical
+# output is checked the same way for either partition, since the partition
+# is placement-only. Canonical output is every line of deltacol_mpi_like not
+# starting with "# " (rank-local wire counters are "# "-prefixed, printed as
+# a per-rank wire summary and excluded from the diff; see the launcher's
+# file comment).
 # Exit 0 iff every rank of every workload matches its reference.
 set -u
 
 BUILD_DIR=build
 WORLD=2
 PARTITION=contiguous
-EXCHANGE=replicated
 positional=0
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --partition)
       [[ $# -ge 2 ]] || { echo "error: --partition needs a value" >&2; exit 2; }
       PARTITION="$2"
-      shift 2
-      ;;
-    --exchange)
-      [[ $# -ge 2 ]] || { echo "error: --exchange needs a value" >&2; exit 2; }
-      EXCHANGE="$2"
       shift 2
       ;;
     *)
@@ -53,9 +42,6 @@ done
 case "$PARTITION" in contiguous|cluster) ;; *)
   echo "error: --partition must be contiguous or cluster" >&2; exit 2 ;;
 esac
-case "$EXCHANGE" in replicated|owner) ;; *)
-  echo "error: --exchange must be replicated or owner" >&2; exit 2 ;;
-esac
 
 BIN="$BUILD_DIR/deltacol_mpi_like"
 if [[ ! -x "$BIN" ]]; then
@@ -68,27 +54,26 @@ CONGEST=(0 64)
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-# run_cluster GEN BITS EXCHANGE TAG — in-process reference + WORLD tcp ranks,
+# run_cluster GEN BITS TAG — in-process reference + WORLD tcp ranks,
 # diffing each rank's canonical lines against the reference. Writes per-rank
 # outputs to $TMP/$TAG-rank$r.txt. Returns 0 iff all ranks byte-identical.
 run_cluster() {
-  local gen="$1" bits="$2" exchange="$3" tag="$4"
+  local gen="$1" bits="$2" tag="$3"
   local attempt port_base ref rc ok r
   for attempt in 1 2 3; do
     port_base=$((20000 + (RANDOM % 40000)))
     ref="$TMP/$tag-ref.txt"
     if ! "$BIN" --gen "$gen" --transport inproc --world "$WORLD" \
-         --congest-bits "$bits" --partition "$PARTITION" \
-         --exchange "$exchange" --out "$ref"; then
-      echo "FAIL $gen B=$bits exchange=$exchange: in-process reference failed" >&2
+         --congest-bits "$bits" --partition "$PARTITION" --out "$ref"; then
+      echo "FAIL $gen B=$bits: in-process reference failed" >&2
       return 1
     fi
     local pids=()
     for ((r = 0; r < WORLD; ++r)); do
       "$BIN" --gen "$gen" --transport tcp --rank "$r" --world "$WORLD" \
         --port-base "$port_base" --congest-bits "$bits" \
-        --partition "$PARTITION" --exchange "$exchange" \
-        --out "$TMP/$tag-rank$r.txt" 2> "$TMP/$tag-rank$r.err" &
+        --partition "$PARTITION" --out "$TMP/$tag-rank$r.txt" \
+        2> "$TMP/$tag-rank$r.err" &
       pids+=($!)
     done
     rc=0
@@ -101,7 +86,7 @@ run_cluster() {
       continue
     fi
     if [[ $rc -ne 0 ]]; then
-      echo "FAIL $gen B=$bits exchange=$exchange: a rank exited nonzero" >&2
+      echo "FAIL $gen B=$bits: a rank exited nonzero" >&2
       cat "$TMP/$tag-rank"*.err >&2
       return 1
     fi
@@ -109,7 +94,7 @@ run_cluster() {
     for ((r = 0; r < WORLD; ++r)); do
       if ! diff <(grep -v '^# ' "$TMP/$tag-rank$r.txt") "$ref" \
            > "$TMP/$tag-rank$r.diff"; then
-        echo "FAIL $gen B=$bits exchange=$exchange rank $r:" \
+        echo "FAIL $gen B=$bits rank $r:" \
              "output differs from reference:" >&2
         cat "$TMP/$tag-rank$r.diff" >&2
         ok=0
@@ -126,45 +111,19 @@ run=0
 for gen in "${WORKLOADS[@]}"; do
   for bits in "${CONGEST[@]}"; do
     run=$((run + 1))
-    tag="$gen-$bits-$EXCHANGE"
-    if ! run_cluster "$gen" "$bits" "$EXCHANGE" "$tag"; then
+    tag="$gen-$bits"
+    if ! run_cluster "$gen" "$bits" "$tag"; then
       failures=$((failures + 1))
       continue
     fi
-    echo "OK   $gen B=$bits partition=$PARTITION exchange=$EXCHANGE:" \
+    echo "OK   $gen B=$bits partition=$PARTITION:" \
          "$WORLD ranks byte-identical to in-process"
     # Rank-local wire summary (legitimately differs per rank).
     grep -h '^# ' "$TMP/$tag-rank"*.txt | sed "s/^# /  wire $gen B=$bits /"
-    if [[ "$EXCHANGE" == owner ]]; then
-      # Realized reduction: same workload over the replicated all-gather,
-      # then per-rank physical bytes side by side.
-      base_tag="$gen-$bits-replicated-base"
-      if ! run_cluster "$gen" "$bits" replicated "$base_tag"; then
-        failures=$((failures + 1))
-        continue
-      fi
-      for ((r = 0; r < WORLD; ++r)); do
-        paste -d' ' \
-          <(grep '^# ' "$TMP/$base_tag-rank$r.txt") \
-          <(grep '^# ' "$TMP/$tag-rank$r.txt") | awk -v gen="$gen" -v bits="$bits" '{
-            rep = 0; own = 0;
-            for (i = 1; i <= NF; ++i) {
-              if ($i ~ /^wire-bytes-sent=/) {
-                split($i, kv, "=");
-                if (rep == 0) rep = kv[2]; else own = kv[2];
-              }
-              if ($i ~ /^rank=/) { split($i, kv, "="); r = kv[2]; }
-            }
-            pct = rep > 0 ? 100.0 * (rep - own) / rep : 0;
-            printf "  reduction %s B=%s rank=%s replicated=%dB owner=%dB (-%.1f%%)\n",
-                   gen, bits, r, rep, own, pct;
-          }'
-      done
-    fi
   done
 done
 
 echo "---"
 echo "$((run - failures))/$run workload runs byte-identical" \
-     "(partition=$PARTITION exchange=$EXCHANGE)"
+     "(partition=$PARTITION)"
 [[ $failures -eq 0 ]]

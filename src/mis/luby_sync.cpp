@@ -60,45 +60,41 @@ std::vector<bool> luby_mis_message_passing(const Graph& g, Rng& rng,
   const int n = g.num_vertices();
   using Engine = ParallelSyncEngine<NodeState, Msg>;
   Engine engine(g, ledger, std::string(phase), pool, shards);
-  const VertexPartition part = shards != nullptr
-                                   ? shards->partition()
-                                   : VertexPartition::contiguous(n, 1);
-  // Owner-compute (DESIGN.md §6): the engine holds owned-only state, so
-  // every sweep below runs over the local shard's owned list and the
-  // termination test / result extraction go through the transport's
-  // deterministic collectives instead of reading global state.
-  const bool owner = shards != nullptr && engine.owner_local_state();
-  const int local = owner ? shards->transport().local_shard() : -1;
+  // A distributed rank is owner-computed (DESIGN.md §6): the engine holds
+  // owned-only state, so every sweep below runs over the local shard's
+  // owned list and the termination test / result extraction go through the
+  // transport's deterministic collectives instead of reading global state.
+  const bool distributed = engine.owner_local_state();
+  const int local = distributed ? shards->transport().local_shard() : -1;
 
   // LOCAL-model nodes own private randomness: seed each node once from the
   // caller's stream (private coins, not communication) — serially, so the
-  // per-node streams are thread-count independent. Owner-compute ranks
-  // still advance the caller's stream n times (stream identity with every
-  // other shape) but keep only their owned nodes' streams.
+  // per-node streams are thread-count independent. Distributed ranks still
+  // advance the caller's stream n times (stream identity with every other
+  // shape) but keep only their owned nodes' streams.
   for (int v = 0; v < n; ++v) {
     Rng node_rng = rng.split();
-    if (!owner || part.shard_of(v) == local) {
+    if (!distributed || shards->partition().shard_of(v) == local) {
       engine.state(v).rng = std::move(node_rng);
     }
   }
 
   // Per-vertex sweep helper: all vertices in-process, owned vertices only
-  // under owner-compute (the bodies are v-private either way).
+  // on a distributed rank (the bodies are v-private either way).
   const auto sweep = [&](const auto& body) {
-    if (owner) {
+    if (distributed) {
       const GraphView& view = shards->view(local);
       pooled_for(pool, 0, view.num_owned(),
                  [&](int i) { body(view.owned_vertex(i)); });
       return;
     }
-    sharded_for(pool, part, body);
+    pooled_for(pool, 0, n, body);
   };
 
   int remaining = n;
   while (remaining > 0) {
     // Private coin flips — no communication round. Each node draws from its
-    // own Rng: a shard-major parallel-for over the runtime's partition
-    // (v-private, so any placement yields the same streams).
+    // own Rng (v-private, so any placement yields the same streams).
     sweep([&](int v) {
       NodeState& s = engine.state(v);
       if (s.status == NodeStatus::kActive) s.priority = s.rng.next_u64();
@@ -139,10 +135,10 @@ std::vector<bool> luby_mis_message_passing(const Graph& g, Rng& rng,
             }
           }
         });
-    // Termination: count actives. Owner-compute ranks count their owned
+    // Termination: count actives. Distributed ranks count their owned
     // actives and fold the counts deterministically across ranks — every
     // rank leaves the loop on the same iteration, by construction.
-    if (owner) {
+    if (distributed) {
       const GraphView& view = shards->view(local);
       std::int64_t active = 0;
       for (int i = 0; i < view.num_owned(); ++i) {
@@ -159,12 +155,12 @@ std::vector<bool> luby_mis_message_passing(const Graph& g, Rng& rng,
       if (engine.state(v).status == NodeStatus::kActive) ++remaining;
     }
   }
-  // Result extraction. Owner-compute ranks know only their shard's flags:
+  // Result extraction. Distributed ranks know only their shard's flags:
   // the deterministic end-of-run gather (Transport::gather_colors)
   // reassembles the global MIS on every rank, bit-identical to the
-  // replicated shapes.
+  // in-process shapes.
   std::vector<bool> out(static_cast<std::size_t>(n), false);
-  if (owner) {
+  if (distributed) {
     const GraphView& view = shards->view(local);
     std::vector<int> flags(static_cast<std::size_t>(n), 0);
     for (int i = 0; i < view.num_owned(); ++i) {
@@ -172,7 +168,7 @@ std::vector<bool> luby_mis_message_passing(const Graph& g, Rng& rng,
       flags[static_cast<std::size_t>(v)] =
           engine.state(v).status == NodeStatus::kInMis ? 1 : 0;
     }
-    shards->transport().gather_colors(part, flags);
+    shards->transport().gather_colors(shards->partition(), flags);
     for (int v = 0; v < n; ++v) {
       out[static_cast<std::size_t>(v)] = flags[static_cast<std::size_t>(v)] == 1;
     }

@@ -24,10 +24,10 @@
 /// launcher prints per-rank slice statistics from this path.
 ///
 /// This loader is the data-side half of the owner-compute model
-/// (DESIGN.md §6, "Owner-compute"): a rank that loads only its slice and
-/// runs under `ExchangePolicy::kOwnerRouted` holds O(n/S + halo) graph
-/// *and* O(n/S + halo) algorithm state — nothing per-vertex global ever
-/// materializes on a rank until the end-of-run `gather_colors`.
+/// (DESIGN.md §6, "Owner-compute"): a rank that loads only its slice holds
+/// O(n/S + halo) graph *and*, on the distributed engine, O(n/S + halo)
+/// algorithm state — nothing per-vertex global ever materializes on a rank
+/// until the end-of-run `gather_colors`.
 #pragma once
 
 #include <cstdint>

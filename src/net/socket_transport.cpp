@@ -32,12 +32,12 @@ namespace {
 /// fields before accepting a single slot.
 constexpr std::uint32_t kHelloMagic = 0xDC01u;
 
-/// Collective tags for the owner-routed path. Every collective consumes one
-/// tick of the SAME sequence counter the all-gather uses, and every frame
-/// leads with its tag — so a rank that mixes policies or collectives out of
-/// step decodes a wrong tag/seq and fails loudly instead of merging a stale
-/// or foreign frame. The replicated all-gather frame layout above is
-/// untouched (its closed-form byte accounting is pinned by bench_e17).
+/// Collective tags. Every collective consumes one tick of the SAME sequence
+/// counter the all-gather uses, and every owned/reduce/gather frame leads
+/// with its tag — so a rank whose collectives run out of step decodes a
+/// wrong tag/seq and fails loudly instead of merging a stale or foreign
+/// frame. The owned-frame layout's closed-form byte accounting is pinned by
+/// bench_e17.
 constexpr std::uint32_t kOwnedMagic = 0xDC0Eu;   // exchange_owned
 constexpr std::uint32_t kReduceMagic = 0xDC0Fu;  // allreduce_{sum,max}
 constexpr std::uint32_t kGatherMagic = 0xDC10u;  // gather_colors
@@ -109,7 +109,7 @@ OwnedFrame decode_owned_frame(const WireBuf& payload, int expect_sender,
   if (magic != kOwnedMagic) {
     throw WireError("owner-routed frame has tag " + std::to_string(magic) +
                     " — peer rank " + std::to_string(expect_sender) +
-                    " is running a different exchange policy or collective");
+                    " is running a different collective");
   }
   const std::uint32_t sender = r.get_u32();
   const std::uint32_t seq = r.get_u32();
@@ -453,11 +453,6 @@ SocketTransport::all_gather_rows(
     std::vector<std::vector<std::uint8_t>> local_row) {
   DC_REQUIRE(static_cast<int>(local_row.size()) == world_,
              "local row must carry one slot per destination rank");
-  for (int d = 0; d < world_; ++d) {
-    if (d == rank_) continue;
-    cross_payload_bytes_ +=
-        static_cast<std::int64_t>(local_row[static_cast<std::size_t>(d)].size());
-  }
   std::vector<std::vector<std::vector<std::uint8_t>>> rows(
       static_cast<std::size_t>(world_));
 
@@ -520,8 +515,7 @@ Transport::OwnedExchange SocketTransport::exchange_owned(
 
   // Encode every frame up front on the calling thread (counters are not
   // thread-safe), asserting per frame that the physical slot payload is
-  // exactly the bytes the cross_payload_bytes counter records — under this
-  // policy the counter IS the measured wire payload, not a prediction.
+  // exactly the bytes the cross_payload_bytes counter records.
   const std::int64_t header = owned_frame_header_bytes(world_);
   std::vector<WireBuf> frames(static_cast<std::size_t>(world_));
   for (int d = 0; d < world_; ++d) {

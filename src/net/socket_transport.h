@@ -8,19 +8,19 @@
 ///   * `local_shard()` is this process's rank — `run_shards(body)` invokes
 ///     `body(rank)` and nothing else; the other ranks run their own bodies
 ///     in their own processes.
-///   * `all_gather_rows()` ships this rank's serialized mailbox row to every
-///     peer as one frame per peer (net/frame.h) and blocks until every
-///     peer's row arrived — the inter-round barrier of a distributed run.
-///     Frames carry a sequence number, so a rank that drifted a round out of
-///     step fails loudly instead of merging stale slots.
-///   * `exchange_owned()` is the owner-routed alternative
-///     (ExchangePolicy::kOwnerRouted, runtime/execution_mode.h): one
-///     point-to-point frame per peer carrying ONLY the slot addressed to
-///     that peer (plus this rank's per-slot tally row, so every rank
-///     reassembles the full S×S counters), written by per-peer writer
-///     threads while this thread reads the peers in rank order. The same
-///     sequence counter as the all-gather guards collective drift, so a
-///     rank that mixes the two policies mid-run fails loudly too.
+///   * `exchange_owned()` moves one engine round: one point-to-point frame
+///     per peer carrying ONLY the encoded slot addressed to that peer (plus
+///     this rank's per-slot tally row, so every rank reassembles the full
+///     S×S counters), written by per-peer writer threads while this thread
+///     reads the peers in rank order — the inter-round barrier of a
+///     distributed run. Frames carry a sequence number, so a rank that
+///     drifted a round out of step fails loudly instead of merging stale
+///     slots.
+///   * `all_gather_rows()` ships one row of byte buffers to every peer as
+///     one frame per peer (net/frame.h) and blocks until every peer's row
+///     arrived. It carries the halo adjacency exchange (net/rank_loader.h)
+///     and `barrier()`, never an engine round; it shares the sequence
+///     counter, so collective drift fails loudly here too.
 ///   * `allreduce_sum()` / `allreduce_max()` / `gather_colors()` are the
 ///     small deterministic collectives an owner-compute run needs for
 ///     termination tests, the CONGEST max fold, and the end-of-run result
@@ -138,8 +138,8 @@ class SocketTransport final : public Transport {
                      std::vector<int>& values) override;
 
   /// Blocks until every rank reached this barrier (an all-gather of empty
-  /// rows). Used by launchers to fence phases that are replicated rather
-  /// than exchanged.
+  /// rows). Launchers use it to fence the end of a run so no rank closes
+  /// its sockets while a peer still reads.
   void barrier();
 
   int rank() const { return rank_; }
@@ -152,16 +152,13 @@ class SocketTransport final : public Transport {
   std::int64_t wire_bytes_received() const { return bytes_received_; }
   std::int64_t frames_sent() const { return frames_sent_; }
 
-  /// Encoded payload bytes addressed to *other* ranks across all exchanges.
-  /// Under the replicated all-gather this is a *prediction*: the full row
-  /// ships to every peer, so wire_bytes_sent is partition-invariant and
-  /// this counter is what an owner-routed exchange *would* put on the wire
-  /// (the number bench_e18 reports as the locality win). Under
-  /// exchange_owned the same counter becomes the *measured* physical slot
-  /// payload — each increment is bytes actually framed to exactly one peer
-  /// (exchange_owned asserts the equality per frame) — so prediction and
-  /// realization are the one counter, comparable across policies
-  /// (bench_e20).
+  /// Encoded mailbox-slot bytes this rank framed to other ranks in engine
+  /// rounds (exchange_owned) — a measurement: each increment is slot bytes
+  /// actually framed to exactly one peer (exchange_owned asserts the
+  /// equality per frame). Frame headers, the small collectives, the halo
+  /// exchange and barrier() are not round payload and are not counted
+  /// (wire_bytes_sent counts everything). bench_e18 reports it as the
+  /// locality win, bench_e20 as the owner-routed payload.
   std::int64_t cross_payload_bytes() const { return cross_payload_bytes_; }
 
  private:

@@ -30,11 +30,11 @@
 /// throws `WireError` — a torn or corrupted stream never decodes to a
 /// plausible-looking message.
 ///
-/// Both wire disciplines share this codec unchanged: the replicated
-/// all-gather serializes a shard's full mailbox row, the owner-routed
-/// exchange (`Mailbox::encode_owned_row` → `Transport::exchange_owned`)
-/// serializes only the off-diagonal slots of that row — same
-/// `encode_slot`/`decode_slot` framing per slot, just fewer slots shipped.
+/// A distributed round ships mailbox slots with this codec: the
+/// owner-routed exchange (`Mailbox::encode_owned_row` →
+/// `Transport::exchange_owned`) serializes the off-diagonal slots of a
+/// shard's row with `encode_slot` and the receiver replays them with
+/// `decode_slot`.
 #pragma once
 
 #include <cstdint>

@@ -19,9 +19,7 @@ Transport::OwnedExchange Transport::exchange_owned(
   (void)row_bits;
   DC_REQUIRE(false,
              "exchange_owned: this transport has no wire — the owner-routed "
-             "byte exchange is only meaningful when local_shard() >= 0 "
-             "(in-process owner-routed rounds round-trip slots through the "
-             "codec in the engine instead)");
+             "byte exchange is only meaningful when local_shard() >= 0");
   return {};
 }
 

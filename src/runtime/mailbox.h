@@ -8,14 +8,15 @@
 ///    implement. It answers "how many shards", "which shard is local"
 ///    (local_shard(): -1 in process, a rank id when distributed), "run this
 ///    shard body on every local shard, then barrier", and — for distributed
-///    backends — "ship my serialized mailbox row to every peer and give me
-///    theirs" (all_gather_rows). `InProcessTransport` is the in-memory
-///    backend: shards are indexed chunks on the existing ThreadPool, so a
-///    mailbox handed from shard a to shard b is a pointer, not bytes.
-///    `SocketTransport` (net/socket_transport.h) is the TCP backend: each OS
-///    process owns one shard, run_shards() runs only the local rank's body,
-///    and the bytes move through all_gather_rows — nothing above this
-///    interface changes (that is the point of this layer).
+///    backends — "ship each encoded cross-shard slot to the rank that owns
+///    its destination and give me the slots addressed to me"
+///    (exchange_owned), plus the small collectives an owner-computed run
+///    needs. `InProcessTransport` is the in-memory backend: shards are
+///    indexed chunks on the existing ThreadPool, so a mailbox handed from
+///    shard a to shard b is a pointer, not bytes. `SocketTransport`
+///    (net/socket_transport.h) is the TCP backend: each OS process owns one
+///    shard and its state, run_shards() runs only the local rank's body, and
+///    only cross-shard slots cross the wire.
 ///
 ///  * `Mailbox<Msg>` — per-(source-shard, destination-shard) staging slots
 ///    for one round's envelopes. Posting is row-private (shard s writes only
@@ -53,12 +54,17 @@
 
 #include "graph/partition.h"
 #include "net/wire_codec.h"
-#include "runtime/execution_mode.h"
 #include "runtime/message_size.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
 
 namespace deltacol {
+
+/// Compatibility shim for perfbench/src/main.cpp only, which still calls
+/// ShardRuntime::set_exchange_policy(ExchangePolicy::kOwnerRouted). Owner
+/// routing is the only way a distributed round moves envelopes; the next
+/// change to the benchmark drops that call, this enum and the setter.
+enum class ExchangePolicy { kOwnerRouted };
 
 /// Executes shard bodies and moves staged messages between shards. See the
 /// file comment for the backend contract.
@@ -80,36 +86,35 @@ class Transport {
   /// Delivers everything staged since the last exchange. In-process this is
   /// a no-op — mailboxes live in shared memory and the run_shards barrier
   /// already published them. A distributed backend has already moved the
-  /// bytes through all_gather_rows (the engine drives serialization, since
+  /// bytes through exchange_owned (the engine drives serialization, since
   /// only it knows the message type); exchange() remains the per-round
   /// backend hook (counters, flushes).
   virtual void exchange() {}
 
   /// The one shard this OS process owns, or -1 when every shard is local
-  /// (the in-process backends). When >= 0, the engine stages sends for this
-  /// shard only, ships its serialized mailbox row through all_gather_rows,
-  /// fills the other rows from the wire (Mailbox::fill), and replays the
-  /// merge + receive for every shard so each rank's replicated global state
-  /// stays bit-identical (DESIGN.md §6, "the socket backend").
+  /// (the in-process backends). When >= 0, the engine holds state for this
+  /// shard only, stages its sends, ships the off-diagonal slots of its row
+  /// through exchange_owned, fills the slots addressed to it from the wire
+  /// (Mailbox::fill), and merges + receives only its own column (DESIGN.md
+  /// §6, "Owner-compute").
   virtual int local_shard() const { return -1; }
 
-  /// Distributed byte exchange: ships this rank's serialized mailbox row
-  /// (`local_row[d]` = the encoded (local_shard, d) slot, S entries) to
-  /// every peer and returns all ranks' rows — result[s][d] is the encoded
-  /// (s, d) slot, with result[local_shard()] being `local_row` unchanged.
-  /// Blocks until every rank has contributed: this is the inter-round
-  /// barrier of a distributed run. Only meaningful when local_shard() >= 0;
-  /// the in-process default has no wire and throws.
+  /// Distributed byte all-gather: ships `local_row` (S byte buffers) to
+  /// every peer and returns all ranks' rows — result[s][d] is rank s's
+  /// buffer d, with result[local_shard()] being `local_row` unchanged.
+  /// Blocks until every rank has contributed. Engine rounds never use it;
+  /// the halo adjacency exchange (net/rank_loader.h) and
+  /// SocketTransport::barrier() do. Only meaningful when local_shard() >=
+  /// 0; the in-process default has no wire and throws.
   virtual std::vector<std::vector<std::vector<std::uint8_t>>> all_gather_rows(
       std::vector<std::vector<std::uint8_t>> local_row);
 
-  /// Result of an owner-routed exchange (ExchangePolicy::kOwnerRouted).
-  /// `slots[s]` is the encoded (s, local_shard) slot shipped by rank s
-  /// (empty at s == local_shard — the local slot never crossed the wire);
-  /// `slot_counts` / `slot_bits` are the reassembled full S×S row-major
-  /// per-slot tallies (every rank's posted row, piggybacked on the frames),
-  /// so ShardRuntime::record_round sees the same counters the replicated
-  /// and in-process runs see.
+  /// Result of an owner-routed exchange. `slots[s]` is the encoded
+  /// (s, local_shard) slot shipped by rank s (empty at s == local_shard —
+  /// the local slot never crossed the wire); `slot_counts` / `slot_bits`
+  /// are the reassembled full S×S row-major per-slot tallies (every rank's
+  /// posted row, piggybacked on the frames), so ShardRuntime::record_round
+  /// sees the same counters the in-process run sees.
   struct OwnedExchange {
     std::vector<std::vector<std::uint8_t>> slots;
     std::vector<std::int64_t> slot_counts;
@@ -124,9 +129,7 @@ class Transport {
   /// slots the peers addressed to this rank plus the reassembled global
   /// tallies. Blocks until every peer's frame arrived (the inter-round
   /// barrier). Only meaningful when local_shard() >= 0; the in-process
-  /// default has no wire and throws — in-process owner-routed rounds
-  /// round-trip slots through the codec locally instead
-  /// (runtime/parallel_sync_engine.h).
+  /// default has no wire and throws.
   virtual OwnedExchange exchange_owned(
       std::vector<std::vector<std::uint8_t>> to_peers,
       std::vector<std::int64_t> row_counts, std::vector<std::int64_t> row_bits);
@@ -194,24 +197,9 @@ class ShardRuntime {
   Transport& transport() const { return *transport_; }
   ThreadPool* pool() const { return pool_; }
 
-  /// How engines attached to this runtime move envelopes between shards
-  /// (runtime/execution_mode.h). kReplicated (the default) keeps the
-  /// full-row all-gather + replicated merge; kOwnerRouted ships only
-  /// cross-shard slots point-to-point and merges rank-locally. Results are
-  /// bit-identical either way (DESIGN.md §6, "Owner-compute"); set before
-  /// attaching engines.
-  ExchangePolicy exchange_policy() const { return exchange_policy_; }
-  void set_exchange_policy(ExchangePolicy policy) { exchange_policy_ = policy; }
-
-  /// True when engines should run the rank-local owner-compute round: the
-  /// owner-routed policy over a distributed transport. In-process
-  /// owner-routed runs keep full state (there is no wire to save) but
-  /// round-trip cross slots through the codec so the policy is covered
-  /// hermetically.
-  bool owner_routed_distributed() const {
-    return exchange_policy_ == ExchangePolicy::kOwnerRouted &&
-           transport_->local_shard() >= 0;
-  }
+  /// No-op; see ExchangePolicy. Kept only so perfbench/src/main.cpp
+  /// compiles.
+  void set_exchange_policy(ExchangePolicy) {}
 
   // --- message-volume accounting (per-round CONGEST metrics, bench_e15 /
   // --- bench_e16): cumulative per-(src, dst) envelope counts and wire bits.
@@ -257,7 +245,6 @@ class ShardRuntime {
   std::vector<GraphView> views_;
   std::unique_ptr<Transport> transport_;
   ThreadPool* pool_;
-  ExchangePolicy exchange_policy_ = ExchangePolicy::kReplicated;
   std::vector<std::int64_t> sent_;       // row-major (src, dst), cumulative
   std::vector<std::int64_t> sent_bits_;  // same shape, MessageSize bits
   std::int64_t rounds_ = 0;
@@ -300,9 +287,8 @@ class Mailbox {
   }
 
   /// Installs a whole slot at once — the remote-fill path of a distributed
-  /// backend: rank d decodes the bytes rank s shipped and fills slot (s, d)
-  /// (and, under the replicated-state discipline, every other remote slot
-  /// too). Envelope order must be the sender's post order — decode_slot
+  /// backend: rank d decodes the bytes rank s shipped and fills slot
+  /// (s, d). Envelope order must be the sender's post order — decode_slot
   /// preserves it — so the shard-major merge rule survives serialization.
   /// The envelopes are accounted exactly as a local post would have
   /// (MessageSize is a pure function of the value, so both sides of the
@@ -411,29 +397,5 @@ class Mailbox {
   std::vector<std::uint8_t> filled_;       // fill-once-per-round guards
   bool owner_exchanged_ = false;           // exchange-once-per-round guard
 };
-
-/// Shard-major sweep: body(v) for every vertex, with each shard's owned set
-/// as one placement unit on the pool (the unit a distributed runtime would
-/// pin to a rank). Falls back to pooled_for when num_shards <= 1. The body
-/// must write only v-private state — the same contract as pooled_for — so
-/// every (num_shards, threads, partition) combination yields identical
-/// results; only placement and wall-clock change.
-template <typename Body>
-void sharded_for(ThreadPool* pool, const VertexPartition& part,
-                 const Body& body) {
-  if (part.num_shards() <= 1) {
-    pooled_for(pool, 0, part.num_vertices(), body);
-    return;
-  }
-  const auto shard_body = [&part, &body](int s) {
-    const int count = part.size(s);
-    for (int i = 0; i < count; ++i) body(part.owned_vertex(s, i));
-  };
-  if (pool != nullptr) {
-    pool->parallel_chunks(part.num_shards(), shard_body);
-  } else {
-    for (int s = 0; s < part.num_shards(); ++s) shard_body(s);
-  }
-}
 
 }  // namespace deltacol

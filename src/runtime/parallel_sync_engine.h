@@ -24,41 +24,30 @@
 /// **Sharded (a ShardRuntime attached).** The round is expressed against
 /// the shard layer (graph/partition.h + runtime/mailbox.h): every send goes
 /// through the per-(source-shard, destination-shard) mailbox and every
-/// barrier is a Transport::run_shards call, so swapping the in-process
-/// transport for a distributed one changes no engine code:
+/// barrier is a Transport::run_shards call. In process:
 ///
 ///   1. **Sharded send.** Each source shard sweeps its owned vertices in
 ///      ascending id order and posts envelopes into its mailbox row —
 ///      straight from the outbox when the sweep is one chunk, else staged
 ///      per chunk on the pool and replayed in chunk order.
 ///   2. **Exchange.** A no-op in process (the run_shards barrier already
-///      published the shared-memory mailbox). On a distributed backend
-///      (Transport::local_shard() >= 0) this is where the bytes move: the
-///      engine serializes the local rank's mailbox row with WireCodec
-///      (net/wire_codec.h), all-gathers it through the transport, and
-///      installs the remote rows with Mailbox::fill.
+///      published the shared-memory mailbox).
 ///   3. **Sharded merge + receive.** Each destination shard reads its
 ///      mailbox column in place, in ascending source-shard order, scatters
-///      it into its own arena, and receives. Distributed ranks replay the
-///      merge + receive for every shard — the replicated-state discipline
-///      that keeps each rank's global state bit-identical while the send
-///      sweep is genuinely partitioned across processes.
+///      it into its own arena, and receives.
 ///
-/// **Owner-compute** (ShardRuntime::exchange_policy() == kOwnerRouted over a
-/// distributed transport): steps 2–3 change shape. The engine holds state
-/// for the LOCAL shard only (states_ sized to GraphView::num_owned(),
-/// indexed by layout offset within the shard), encodes only the
-/// off-diagonal slots of its row (Mailbox::encode_owned_row — the diagonal
-/// never touches the codec), ships them point-to-point
+/// **Distributed (Transport::local_shard() >= 0): owner-compute.** Each
+/// rank holds state for its OWN shard only (states_ sized to
+/// GraphView::num_owned(), indexed by layout offset within the shard),
+/// encodes only the off-diagonal slots of its row (Mailbox::encode_owned_row
+/// — the diagonal never touches the codec), ships them point-to-point
 /// (Transport::exchange_owned), and merges + receives only its own column.
-/// Per-rank work drops from O(n) to O(n/S + halo) and the wire carries only
-/// cross-shard payload; results stay bit-identical because each shard's
-/// merged inbox never depended on any other shard's local state (DESIGN.md
-/// §6, "Owner-compute"). Drivers that sweep or read global state must
-/// consult owner_local_state() and use the transport's allreduce/gather
-/// collectives (mis/luby_sync.cpp is the model). In-process runs under the
-/// same policy keep full state but round-trip cross-shard slots through the
-/// codec, so the hermetic suites differential both policies without sockets.
+/// Per-rank work is O(n/S + halo) and the wire carries only cross-shard
+/// payload; results stay bit-identical to the in-process run because each
+/// shard's merged inbox never depends on any other shard's local state
+/// (DESIGN.md §6, "Owner-compute"). Drivers that sweep or read global state
+/// must consult owner_local_state() and use the transport's
+/// allreduce/gather collectives (mis/luby_sync.cpp is the model).
 ///
 /// **Inbox order.** receive() sees ascending senders, ties in emission
 /// order — byte-for-byte what SyncEngine produces. The counting scatter
@@ -91,7 +80,6 @@
 #include "graph/graph.h"
 #include "local/round_ledger.h"
 #include "net/wire_codec.h"
-#include "runtime/execution_mode.h"
 #include "runtime/mailbox.h"
 #include "runtime/message_size.h"
 #include "runtime/thread_pool.h"
@@ -132,32 +120,29 @@ class ParallelSyncEngine {
       DC_REQUIRE(shards_->partition().num_vertices() == g.num_vertices(),
                  "shard runtime was built over a different graph");
       mailbox_.emplace(&shards_->partition());
-      policy_ = shards_->exchange_policy();
       local_shard_ = shards_->transport().local_shard();
-      owner_dist_ = shards_->owner_routed_distributed();
-      if (owner_dist_) {
+      if (local_shard_ >= 0) {
         owned_base_ = shards_->partition().begin(local_shard_);
       }
       send_shards = shards_->num_shards();
-      arenas = owner_dist_ ? 1 : send_shards;
+      arenas = local_shard_ >= 0 ? 1 : send_shards;
     }
     send_chunks_.resize(static_cast<std::size_t>(send_shards));
     arenas_.resize(static_cast<std::size_t>(arenas));
-    // Owner-compute distributed ranks hold state for their OWN shard only —
-    // O(n/S) per rank, allocated from the GraphView's owned count — every
-    // other shape keeps the full per-vertex array (the replicated
-    // discipline; halo values arrive as messages, never as state).
+    // Distributed ranks hold state for their OWN shard only — O(n/S) per
+    // rank, allocated from the GraphView's owned count; in process every
+    // vertex is local (halo values arrive as messages, never as state).
     states_.resize(static_cast<std::size_t>(
-        owner_dist_ ? shards_->view(local_shard_).num_owned()
-                    : g.num_vertices()));
+        local_shard_ >= 0 ? shards_->view(local_shard_).num_owned()
+                          : g.num_vertices()));
   }
 
   const Graph& graph() const { return graph_; }
 
-  /// True when this engine holds owned-only state (the owner-routed policy
-  /// over a distributed transport): state(v) is then valid ONLY for
-  /// vertices the local shard owns.
-  bool owner_local_state() const { return owner_dist_; }
+  /// True when this engine holds owned-only state (a distributed
+  /// transport): state(v) is then valid ONLY for vertices the local shard
+  /// owns.
+  bool owner_local_state() const { return local_shard_ >= 0; }
 
   State& state(int v) { return states_[state_index(v)]; }
   const State& state(int v) const { return states_[state_index(v)]; }
@@ -241,12 +226,12 @@ class ParallelSyncEngine {
     }
   };
 
-  // Global vertex id -> index into states_. The identity except under
-  // owner-compute, where states_ is indexed by owned position:
+  // Global vertex id -> index into states_. The identity except on a
+  // distributed rank, where states_ is indexed by owned position:
   // position_of(v) - begin(local) — O(1) for contiguous and renumbered
   // partitions alike (graph/partition.h).
   std::size_t state_index(int v) const {
-    if (!owner_dist_) return static_cast<std::size_t>(v);
+    if (local_shard_ < 0) return static_cast<std::size_t>(v);
     const int i = shards_->partition().position_of(v) - owned_base_;
     DC_REQUIRE(i >= 0 && i < static_cast<int>(states_.size()),
                "owner-compute engine: state(v) asked for a vertex this rank "
@@ -321,8 +306,8 @@ class ParallelSyncEngine {
         }
         const int v =
             shards_ != nullptr ? shards_->partition().vertex_at(base + i) : i;
-        receive(v, states_[owner_dist_ ? static_cast<std::size_t>(i)
-                                       : static_cast<std::size_t>(v)],
+        receive(v, states_[local_shard_ >= 0 ? static_cast<std::size_t>(i)
+                                             : static_cast<std::size_t>(v)],
                 inbox);
       }
       chunk_bits[static_cast<std::size_t>(c)] = heaviest;
@@ -389,109 +374,45 @@ class ParallelSyncEngine {
   }
 
   // The sharded strategy (see file comment). Three phases, two transport
-  // barriers; all inter-shard data flows through the mailbox.
-  //
-  // **Distributed backends** (transport.local_shard() >= 0, e.g. the TCP
-  // SocketTransport): run_shards invokes only the local rank's body, so the
-  // send sweep — the per-vertex compute — is genuinely partitioned across
-  // processes. The staged row is then serialized slot by slot (WireCodec,
-  // net/wire_codec.h), all-gathered over the wire, and the remote rows are
-  // installed with Mailbox::fill. From that point the round is replicated:
-  // every rank merges the complete mailbox in the same shard-major order and
-  // applies receive to every vertex, so each rank's global state — and hence
-  // every subsequent send, coin flip and termination test — stays
-  // bit-identical to the in-process run (DESIGN.md §6, "the socket
-  // backend": filling whole slots keyed by (src, dst) cannot perturb the
-  // merge order, because the order never depended on *where* a slot's bytes
-  // came from).
+  // barriers; all inter-shard data flows through the mailbox. On a
+  // distributed backend (transport.local_shard() >= 0, e.g. the TCP
+  // SocketTransport) run_shards invokes only the local rank's body, so the
+  // send sweep is partitioned across processes and the round continues
+  // owner-computed (round_owner_distributed).
   void round_sharded(const SendFn& send, const RecvFn& receive) {
     const int num_shards = shards_->num_shards();
     Transport& transport = shards_->transport();
-    const int local = local_shard_;
     Mailbox<Msg>& mailbox = *mailbox_;
     mailbox.clear();
 
     // Barrier 1: each source shard runs its send sweep into its mailbox row.
     transport.run_shards([&](int s) { send_shard(send, s, mailbox); });
 
-    // Owner-compute distributed rounds diverge here: point-to-point
-    // exchange, rank-local merge + receive (see round_owner_distributed).
-    if (owner_dist_) {
+    if (local_shard_ >= 0) {
       round_owner_distributed(receive, num_shards, transport, mailbox);
       return;
-    }
-
-    // Distributed exchange: serialize the local row, all-gather the bytes
-    // (this is the inter-rank barrier), fill every remote row from the wire.
-    // fill() re-tallies counts and bits from the decoded envelopes, so the
-    // volume fold below sees the same S*S counters every rank — and the
-    // in-process run — sees.
-    if (local >= 0) {
-      std::vector<WireBuf> row(static_cast<std::size_t>(num_shards));
-      for (int d = 0; d < num_shards; ++d) {
-        row[static_cast<std::size_t>(d)] =
-            encode_slot<Msg>(mailbox.slot(local, d));
-      }
-      auto rows = transport.all_gather_rows(std::move(row));
-      DC_ENSURE(static_cast<int>(rows.size()) == num_shards,
-                "all_gather_rows returned the wrong number of rows");
-      for (int s = 0; s < num_shards; ++s) {
-        if (s == local) continue;
-        DC_ENSURE(static_cast<int>(rows[static_cast<std::size_t>(s)].size()) ==
-                      num_shards,
-                  "all_gather_rows returned a malformed row");
-        for (int d = 0; d < num_shards; ++d) {
-          mailbox.fill(
-              s, d,
-              decode_slot<Msg, Envelope>(
-                  rows[static_cast<std::size_t>(s)][static_cast<std::size_t>(d)]));
-        }
-      }
     }
     transport.exchange();
 
     // Barrier 2: each destination shard merges its mailbox column in
     // ascending source-shard order into its arena and receives its owned
-    // range. Distributed ranks replay this for every shard (replicated
-    // merge + receive — see the strategy comment above), in ascending shard
-    // order on the calling thread.
-    // In-process owner-routed runs have no wire to save bytes on, but honor
-    // the policy's codec discipline hermetically: every CROSS-shard slot
-    // round-trips through encode/decode before the merge (the diagonal
-    // stays codec-free, exactly the owner-compute invariant), so the zoo
-    // differential covers both policies without sockets. decode_slot
-    // replays post order, so the merge is untouched.
-    const bool codec_roundtrip =
-        policy_ == ExchangePolicy::kOwnerRouted && local < 0;
+    // range.
     std::vector<std::int64_t> shard_bits(static_cast<std::size_t>(num_shards),
                                          0);
-    const auto receive_shard = [&](int d) {
-      if (codec_roundtrip) {
-        for (int s = 0; s < num_shards; ++s) {
-          if (s == d) continue;
-          auto& slot = mailbox.slot(s, d);
-          slot = decode_slot<Msg, Envelope>(
-              encode_slot<Msg>(slot));
-        }
-      }
+    transport.run_shards([&](int d) {
       shard_bits[static_cast<std::size_t>(d)] = merge_column(
           d, arenas_[static_cast<std::size_t>(d)], mailbox, receive);
-    };
-    if (local >= 0) {
-      for (int d = 0; d < num_shards; ++d) receive_shard(d);
-    } else {
-      transport.run_shards(receive_shard);
-    }
+    });
 
     // Volume + CONGEST folds on the calling thread (the tallies are
-    // accumulated at post/fill time).
+    // accumulated at post time).
     shards_->record_round(mailbox.slot_counts(), mailbox.slot_bits());
     std::int64_t max_edge_bits = 0;
     for (std::int64_t b : shard_bits) max_edge_bits = std::max(max_edge_bits, b);
     ledger_.charge_message_round(max_edge_bits, phase_);
   }
 
-  // The owner-compute continuation of round_sharded (after Barrier 1 has
+  // The distributed continuation of round_sharded (after Barrier 1 has
   // posted the local rank's row). Why rank-local merge cannot move a byte
   // (DESIGN.md §6, "Owner-compute"): shard d's inbox contents are exactly
   // the envelopes in column (*, d) — slots other ranks addressed to d plus
@@ -499,12 +420,11 @@ class ParallelSyncEngine {
   // only (source shard, emission position, sender id), never any other
   // shard's local state. So merging ONLY the local column, with the
   // diagonal slot never serialized and the off-diagonal slots arriving
-  // point-to-point, reproduces byte-for-byte the inboxes the replicated
-  // replay would have produced for this shard — while per-rank merge work
-  // drops from O(n) to O(n/S + halo traffic) and the wire carries only the
-  // cross-shard payload. The piggybacked tally rows reassemble the full
-  // S×S counters, so record_round and the CONGEST max fold (allreduce_max,
-  // order-free) charge exactly what every other shape charges.
+  // point-to-point, reproduces byte-for-byte the inboxes the in-process
+  // merge produces for this shard. The piggybacked tally rows reassemble
+  // the full S×S counters, so record_round and the CONGEST max fold
+  // (allreduce_max, order-free) charge exactly what every other shape
+  // charges.
   void round_owner_distributed(const RecvFn& receive, int num_shards,
                                Transport& transport, Mailbox<Msg>& mailbox) {
     const int local = local_shard_;
@@ -558,14 +478,12 @@ class ParallelSyncEngine {
   std::string phase_;
   ThreadPool* pool_;
   ShardRuntime* shards_;
-  ExchangePolicy policy_ = ExchangePolicy::kReplicated;
-  int local_shard_ = -1;   // transport.local_shard(), cached at construction
-  bool owner_dist_ = false;  // owner-routed AND distributed: owned-only state
-  int owned_base_ = 0;     // partition().begin(local) under owner-compute
+  int local_shard_ = -1;  // transport.local_shard(), cached at construction
+  int owned_base_ = 0;    // partition().begin(local) on a distributed rank
   std::optional<Mailbox<Msg>> mailbox_;
   // Round buffers, reused across rounds: per send shard (1 unsharded), one
   // SendChunk per chunk; per merged destination shard (1 unsharded or
-  // owner-compute), one inbox arena.
+  // distributed), one inbox arena.
   std::vector<std::vector<SendChunk>> send_chunks_;
   std::vector<InboxArena> arenas_;
   std::vector<State> states_;

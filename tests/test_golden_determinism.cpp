@@ -14,8 +14,8 @@
 // The second table pins luby_mis_message_passing, the one pipeline that runs
 // on ParallelSyncEngine's message rounds: the MIS, the ledger total and the
 // ShardRuntime per-slot counters, over the serial, pooled, in-process
-// sharded (contiguous and cluster partitions, replicated and owner-routed
-// exchange) and 3-rank socketpair owner-routed shapes. Its rows were captured
+// sharded (contiguous and cluster partitions) and 3-rank socketpair
+// owner-routed shapes. Its rows were captured
 // from the tree before the engine's per-round inbox arena replaced the
 // per-vertex inbox vectors, so they pin that rewrite to the historical
 // output.
@@ -234,8 +234,8 @@ std::uint64_t luby_run(const Graph& g, ThreadPool* pool,
 }
 
 // `world` SocketTransport ranks over a full socketpair mesh, each with its
-// own owner-routed ShardRuntime over the contiguous partition, run
-// concurrently; returns every rank's fingerprint.
+// own ShardRuntime over the contiguous partition, run concurrently; returns
+// every rank's fingerprint.
 std::vector<std::uint64_t> luby_socket_ranks(const Graph& g, int world) {
   std::vector<std::vector<int>> fds(static_cast<std::size_t>(world),
                                     std::vector<int>(world, -1));
@@ -256,7 +256,6 @@ std::vector<std::uint64_t> luby_socket_ranks(const Graph& g, int world) {
         g, VertexPartition::contiguous(g.num_vertices(), world), nullptr,
         std::make_unique<SocketTransport>(
             r, world, std::move(fds[static_cast<std::size_t>(r)]))));
-    runtimes.back()->set_exchange_policy(ExchangePolicy::kOwnerRouted);
   }
   std::vector<std::uint64_t> hashes(static_cast<std::size_t>(world), 0);
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(world));
@@ -309,25 +308,19 @@ TEST(GoldenDeterminism, MessagePassingLubyLandsOnThePrePrFingerprint) {
         shape += '-';
         shape += partition_strategy_name(strategy);
         const std::uint64_t golden = luby_golden(w.name, shape);
-        for (ExchangePolicy policy :
-             {ExchangePolicy::kReplicated, ExchangePolicy::kOwnerRouted}) {
-          for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool8}) {
-            ShardRuntime runtime(w.g,
-                                 make_partition(w.g, num_shards, strategy),
-                                 pool);
-            runtime.set_exchange_policy(policy);
-            EXPECT_EQ(luby_run(w.g, pool, &runtime), golden)
-                << std::hex << w.name << " " << shape << " policy "
-                << static_cast<int>(policy) << " T="
-                << (pool == nullptr ? 1 : 8);
-          }
+        for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool8}) {
+          ShardRuntime runtime(w.g, make_partition(w.g, num_shards, strategy),
+                               pool);
+          EXPECT_EQ(luby_run(w.g, pool, &runtime), golden)
+              << std::hex << w.name << " " << shape << " T="
+              << (pool == nullptr ? 1 : 8);
         }
       }
     }
 
     // Three ranks: the owner-routed distributed round, where every rank's
-    // column merges two remote slots. The in-process replicated run over
-    // the same partition lands on the same row.
+    // column merges two remote slots. The in-process run over the same
+    // partition lands on the same row.
     const std::uint64_t golden = luby_golden(w.name, "S3-contiguous");
     ShardRuntime in_process(w.g, 3, nullptr);
     EXPECT_EQ(luby_run(w.g, nullptr, &in_process), golden)

@@ -49,6 +49,9 @@ expect_usage_error --rank "$MPI" --gen regular-500-6 --rank
 expect_usage_error --partition "$MPI" --gen regular-500-6 \
   --transport inproc --partition foo
 expect_usage_error --port-base "$MPI" --gen regular-500-6 --port-base 70000
+# Owner routing is the only exchange; the old policy flag is unknown.
+expect_usage_error --exchange "$MPI" --gen regular-500-6 --transport inproc \
+  --exchange owner
 
 if [[ $failures -ne 0 ]]; then
   echo "$failures invocation(s) misparsed" >&2

@@ -131,25 +131,43 @@ std::pair<std::vector<bool>, std::int64_t> serial_luby(const Graph& g) {
   return {mis, ledger.total()};
 }
 
+// Results must be bit-identical to the serial golden for every
+// (shards, threads, B) shape, LOCAL and CONGEST(64).
 TEST(ShardedEngine, LubyBitIdenticalForEveryShardsTimesThreads) {
   Rng grng(123);
   const Graph g = random_regular(400, 6, grng);
   const auto [serial_mis, serial_rounds] = serial_luby(g);
   EXPECT_TRUE(is_mis(g, serial_mis));
-  for (int num_shards : {1, 2, 3, 8}) {
-    for (int threads : {1, 2, 8}) {
-      ThreadPool pool(threads);
-      ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
-      ShardRuntime shards(g, num_shards, pool_ptr);
+  for (std::int64_t bits : {std::int64_t{0}, std::int64_t{64}}) {
+    // Per-B golden: the serial run under the same CONGEST cap.
+    std::int64_t golden_rounds;
+    {
       Rng rng(99);
       RoundLedger ledger;
-      const auto mis =
-          luby_mis_message_passing(g, rng, ledger, "mis", pool_ptr, &shards);
-      EXPECT_EQ(mis, serial_mis)
-          << num_shards << " shards, " << threads << " threads";
-      EXPECT_EQ(ledger.total(), serial_rounds)
-          << num_shards << " shards, " << threads << " threads";
-      EXPECT_GT(shards.rounds_recorded(), 0);
+      if (bits > 0) ledger.set_congest_bits(bits);
+      const auto mis = luby_mis_message_passing(g, rng, ledger, "mis");
+      EXPECT_EQ(mis, serial_mis);
+      golden_rounds = ledger.total();
+    }
+    if (bits == 0) {
+      EXPECT_EQ(golden_rounds, serial_rounds);
+    }
+    for (int num_shards : {1, 2, 3, 8}) {
+      for (int threads : {1, 2, 8}) {
+        ThreadPool pool(threads);
+        ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
+        ShardRuntime shards(g, num_shards, pool_ptr);
+        Rng rng(99);
+        RoundLedger ledger;
+        if (bits > 0) ledger.set_congest_bits(bits);
+        const auto mis =
+            luby_mis_message_passing(g, rng, ledger, "mis", pool_ptr, &shards);
+        EXPECT_EQ(mis, serial_mis) << num_shards << " shards, " << threads
+                                   << " threads, B=" << bits;
+        EXPECT_EQ(ledger.total(), golden_rounds)
+            << num_shards << " shards, " << threads << " threads, B=" << bits;
+        EXPECT_GT(shards.rounds_recorded(), 0);
+      }
     }
   }
 }
@@ -279,7 +297,7 @@ TEST(Mailbox, FillRejectsMisaddressedEnvelopes) {
   EXPECT_NE(fill_error({Env{2, -1, 1}}), "");
 }
 
-// --- the owner-routed encode surface (ExchangePolicy::kOwnerRouted) --------
+// --- the owner-routed encode surface ----------------------------------------
 
 TEST(Mailbox, EncodeOwnedRowLeavesLocalSlotUntouched) {
   const VertexPartition part = VertexPartition::contiguous(10, 2);
@@ -317,49 +335,6 @@ TEST(Mailbox, DoubleOwnedExchangeThrows) {
   EXPECT_NO_THROW(mb.encode_owned_row(0));
 }
 
-// The owner policy on the in-process backend: full state is kept (no ranks
-// to distribute across), but every cross-shard slot round-trips through the
-// wire codec during drain — the hermetic coverage of the owner-routed wire
-// discipline. Results must be bit-identical to the serial golden for every
-// (shards, threads, B) shape.
-TEST(ShardedEngine, LubyOwnerPolicyBitIdenticalInProcess) {
-  Rng grng(123);
-  const Graph g = random_regular(400, 6, grng);
-  const auto [serial_mis, serial_rounds] = serial_luby(g);
-  for (std::int64_t bits : {std::int64_t{0}, std::int64_t{64}}) {
-    // Per-B golden: the serial run under the same CONGEST cap.
-    std::int64_t golden_rounds;
-    {
-      Rng rng(99);
-      RoundLedger ledger;
-      if (bits > 0) ledger.set_congest_bits(bits);
-      const auto mis = luby_mis_message_passing(g, rng, ledger, "mis");
-      EXPECT_EQ(mis, serial_mis);
-      golden_rounds = ledger.total();
-    }
-    if (bits == 0) {
-      EXPECT_EQ(golden_rounds, serial_rounds);
-    }
-    for (int num_shards : {1, 2, 8}) {
-      for (int threads : {1, 2, 8}) {
-        ThreadPool pool(threads);
-        ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
-        ShardRuntime shards(g, num_shards, pool_ptr);
-        shards.set_exchange_policy(ExchangePolicy::kOwnerRouted);
-        Rng rng(99);
-        RoundLedger ledger;
-        if (bits > 0) ledger.set_congest_bits(bits);
-        const auto mis =
-            luby_mis_message_passing(g, rng, ledger, "mis", pool_ptr, &shards);
-        EXPECT_EQ(mis, serial_mis) << num_shards << " shards, " << threads
-                                   << " threads, B=" << bits;
-        EXPECT_EQ(ledger.total(), golden_rounds)
-            << num_shards << " shards, " << threads << " threads, B=" << bits;
-      }
-    }
-  }
-}
-
 // --- the inbox-order contract ------------------------------------------------
 
 // Every node sends two messages to each neighbor per round — a pass of even
@@ -391,7 +366,7 @@ void run_order_rounds(Engine& engine, const Graph& g) {
 }
 
 // `world` SocketTransport ranks over a full socketpair mesh, one runtime
-// each over `part`, owner-routed.
+// each over `part`.
 std::vector<std::unique_ptr<ShardRuntime>> socket_mesh(
     const Graph& g, const VertexPartition& part) {
   const int world = part.num_shards();
@@ -414,7 +389,6 @@ std::vector<std::unique_ptr<ShardRuntime>> socket_mesh(
         g, part, nullptr,
         std::make_unique<SocketTransport>(
             r, world, std::move(fds[static_cast<std::size_t>(r)]))));
-    runtimes.back()->set_exchange_policy(ExchangePolicy::kOwnerRouted);
   }
   return runtimes;
 }
@@ -490,21 +464,16 @@ TEST(ShardedEngine, InboxOrderContractOnEveryPath) {
         }
         EXPECT_TRUE(out_of_order) << shape;
       }
-      for (ExchangePolicy policy :
-           {ExchangePolicy::kReplicated, ExchangePolicy::kOwnerRouted}) {
-        for (ThreadPool* pool_ptr : {static_cast<ThreadPool*>(nullptr), &pool}) {
-          ShardRuntime runtime(g, part, pool_ptr);
-          runtime.set_exchange_policy(policy);
-          RoundLedger ledger;
-          Engine sharded(g, ledger, "order", pool_ptr, &runtime);
-          run_order_rounds(sharded, g);
-          check_all(sharded, shape + " in-process policy " +
-                                 std::to_string(static_cast<int>(policy)) +
-                                 (pool_ptr == nullptr ? " T=1" : " T=8"));
-        }
+      for (ThreadPool* pool_ptr : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        ShardRuntime runtime(g, part, pool_ptr);
+        RoundLedger ledger;
+        Engine sharded(g, ledger, "order", pool_ptr, &runtime);
+        run_order_rounds(sharded, g);
+        check_all(sharded, shape + " in-process" +
+                               (pool_ptr == nullptr ? " T=1" : " T=8"));
       }
 
-      // Owner-routed socket ranks: each rank checks the vertices it owns.
+      // Socket ranks (owner-computed): each rank checks the vertices it owns.
       auto runtimes = socket_mesh(g, part);
       ASSERT_EQ(static_cast<int>(runtimes.size()), num_shards);
       std::vector<std::exception_ptr> errors(
