@@ -81,34 +81,25 @@ DeltaColoringResult attempt(const Graph& g, Algorithm alg,
   // every observable stays index-keyed: private RNG streams are pre-split
   // here in component order, every job writes only its own ledger / stats /
   // coloring slice, and the folds below run serially in component order.
-  const auto comps = connected_components(g).vertex_sets();
-  const int num_comps = static_cast<int>(comps.size());
+  const ConnectedComponents cc = connected_components(g);
+  const int num_comps = cc.count;
   std::vector<Rng> comp_rngs;
-  comp_rngs.reserve(comps.size());
+  comp_rngs.reserve(static_cast<std::size_t>(num_comps));
   for (int ci = 0; ci < num_comps; ++ci) comp_rngs.push_back(rng.split());
-  std::vector<RoundLedger> comp_ledgers(comps.size());
+  std::vector<RoundLedger> comp_ledgers(static_cast<std::size_t>(num_comps));
   for (auto& cl : comp_ledgers) cl.set_congest_bits(opt.congest_bits);
-  std::vector<PhaseStats> comp_stats(comps.size());
+  std::vector<PhaseStats> comp_stats(static_cast<std::size_t>(num_comps));
 
-  const ComponentScheduler scheduler(pool);
-  const auto component_job = [&](int ci) {
-    const auto& comp_vertices = comps[static_cast<std::size_t>(ci)];
-    const auto sub = induced_subgraph(g, comp_vertices);
-    const Graph& comp = sub.graph;
+  // Colors component ci, given as the graph `comp` with its slice of the
+  // schedule, into `local` (uncolored on entry, indexed like comp).
+  const auto color_component = [&](int ci, const Graph& comp,
+                                    const Coloring& schedule,
+                                    Coloring& local) {
     DC_REQUIRE(!(is_clique(comp) && comp.num_vertices() == delta + 1),
                "a component is a (Delta+1)-clique: not Delta-colorable");
-
-    Coloring local(static_cast<std::size_t>(comp.num_vertices()), kUncolored);
-    Coloring local_schedule(static_cast<std::size_t>(comp.num_vertices()));
-    for (int v = 0; v < comp.num_vertices(); ++v) {
-      local_schedule[static_cast<std::size_t>(v)] =
-          lin.coloring[static_cast<std::size_t>(
-              sub.to_parent[static_cast<std::size_t>(v)])];
-    }
-
     RoundLedger& ledger = comp_ledgers[static_cast<std::size_t>(ci)];
     Rng& comp_rng = comp_rngs[static_cast<std::size_t>(ci)];
-    ComponentContext ctx{comp,     delta,  local_schedule, lin.num_colors,
+    ComponentContext ctx{comp,     delta,  schedule, lin.num_colors,
                          opt,      comp_rng, ledger,
                          comp_stats[static_cast<std::size_t>(ci)], pool};
 
@@ -124,7 +115,7 @@ DeltaColoringResult attempt(const Graph& g, Algorithm alg,
                 "clique/cycle/path component with max degree == Delta "
                 "cannot occur (K_{Delta+1} rejected; cycles/paths have "
                 "degree 2 < 3)");
-      color_vertex_set_as_list_instance(comp, all, delta, local_schedule,
+      color_vertex_set_as_list_instance(comp, all, delta, schedule,
                                         lin.num_colors, opt.list_engine,
                                         &comp_rng, local, ledger,
                                         "trivial-component", pool);
@@ -150,14 +141,34 @@ DeltaColoringResult attempt(const Graph& g, Algorithm alg,
         internal::repair_completion(ctx, local);
       }
     }
-
-    validate_delta_coloring(comp, local, delta);
-    // res.coloring slices are disjoint across components: race-free.
-    for (int v = 0; v < comp.num_vertices(); ++v) {
-      res.coloring[sub.to_parent[static_cast<std::size_t>(v)]] = local[v];
-    }
   };
-  scheduler.run(num_comps, component_job);
+
+  if (num_comps == 1) {
+    // A connected input is its own component: color g in place, with no
+    // copy of the graph, the schedule or the coloring.
+    color_component(0, g, lin.coloring, res.coloring);
+  } else {
+    const auto comps = cc.vertex_sets();
+    const ComponentScheduler scheduler(pool);
+    scheduler.run(num_comps, [&](int ci) {
+      const auto sub = induced_subgraph(g, comps[static_cast<std::size_t>(ci)]);
+      const Graph& comp = sub.graph;
+      Coloring local_schedule(static_cast<std::size_t>(comp.num_vertices()));
+      for (int v = 0; v < comp.num_vertices(); ++v) {
+        local_schedule[static_cast<std::size_t>(v)] =
+            lin.coloring[static_cast<std::size_t>(
+                sub.to_parent[static_cast<std::size_t>(v)])];
+      }
+      Coloring local(static_cast<std::size_t>(comp.num_vertices()),
+                     kUncolored);
+      color_component(ci, comp, local_schedule, local);
+      validate_delta_coloring(comp, local, delta);
+      // res.coloring slices are disjoint across components: race-free.
+      for (int v = 0; v < comp.num_vertices(); ++v) {
+        res.coloring[sub.to_parent[static_cast<std::size_t>(v)]] = local[v];
+      }
+    });
+  }
 
   // Serial folds in component order (see scheduler comment above).
   for (const auto& stats : comp_stats) {

@@ -4,10 +4,11 @@
 // from B0, remove all layers from the graph, and later color the layers in
 // reverse order: when layer B_i is colored, each of its vertices still has
 // an uncolored neighbor in B_{i-1}, so coloring G[B_i] while respecting
-// already-colored neighbors is a (deg+1)-list coloring instance. The base
-// layer is colored last by case-specific machinery (ruling-set independence
-// + Brooks in Theorem 4; independent DCCs in Phase (9); free nodes/DCCs in
-// Section 4.3).
+// already-colored neighbors is a (deg+1)-list coloring instance. Each
+// instance is colored in G itself, around its colored neighbors, with no
+// copy of the layer. The base layer is colored last by case-specific
+// machinery (ruling-set independence + Brooks in Theorem 4; independent
+// DCCs in Phase (9); free nodes/DCCs in Section 4.3).
 #pragma once
 
 #include <string_view>
@@ -29,7 +30,8 @@ struct Layering {
   // within max_depth (it stays in the remainder graph H).
   std::vector<int> layer;
   int num_layers = 0;  // 1 + max assigned layer index
-  // Vertices of each layer, by index.
+  // Vertices of each layer, by index, each in ascending id order (filled by
+  // one pass over the vertex ids, no sort).
   std::vector<std::vector<int>> members;
 };
 
@@ -63,6 +65,20 @@ void color_layers_in_reverse(const Graph& g, const Layering& layering,
 
 // One (deg+1)-list instance: color exactly `vertices` (those uncolored in c)
 // from palette {0..delta-1} minus colored neighbors. Shared by all phases.
+//
+// c and schedule are indexed like g, and every id in `vertices` must lie in
+// [0, n) (checked before any access); repeats and order do not matter. The
+// deterministic engine colors the instance in place on g: no induced
+// subgraph, no per-vertex lists. Each schedule class sweep gives each
+// member the smallest color free among its G-neighbors, which is what the
+// list "palette minus colored neighbors" yields, since uncolored vertices
+// outside the instance block nothing. It charges schedule_colors rounds.
+// The randomized engine runs on an induced copy of the instance, because
+// its clash test needs every instance vertex's proposal. Both throw
+// ContractViolation, leaving c as it was, when some instance vertex has
+// fewer free colors than instance neighbors + 1; the deterministic engine
+// also throws when an instance edge joins two vertices of one schedule
+// class, or a schedule color lies outside [0, schedule_colors).
 void color_vertex_set_as_list_instance(const Graph& g,
                                        const std::vector<int>& vertices,
                                        int delta, const Coloring& schedule,

@@ -76,6 +76,7 @@ struct Golden {
   const char* graph;
   const char* alg;
   std::uint64_t hash;
+  ListEngine engine = ListEngine::kDeterministic;
 };
 
 // Captured pre-fast-mode, seed 2024, serial run (threads = 1, shards = 1).
@@ -111,6 +112,22 @@ constexpr Golden kGoldens[] = {
     {"sparse-400-6", "ps", 0x82086afb7503dd9fULL},
     {"3-components", "ps", 0x7b71104044c77869ULL},
     {"triangle-cactus", "ps", 0xaa13247b7810a6c0ULL},
+    // Rows captured later (same seed, serial run) from the tree before the
+    // layer instances were colored in place on the parent graph: the zoo
+    // under the randomized list engine, which no earlier row exercised, and
+    // a connected torus large enough that the list instances' class sweeps
+    // and the layering BFS frontiers take their pooled paths at T = 8.
+    {"regular-500-6", "det", 0x20dbf5da205a704eULL, ListEngine::kRandomized},
+    {"gallai-400-4", "det", 0xb8e3a78f2e31f1efULL, ListEngine::kRandomized},
+    {"sparse-400-6", "det", 0xf648823e39c01a37ULL, ListEngine::kRandomized},
+    {"3-components", "det", 0xd9587578ed3ca6c2ULL, ListEngine::kRandomized},
+    {"triangle-cactus", "det", 0x27aaa15fc5aa01d4ULL, ListEngine::kRandomized},
+    {"regular-500-6", "large", 0x89e80d57d258c6edULL, ListEngine::kRandomized},
+    {"gallai-400-4", "large", 0x5cb2e32c83dd0dbfULL, ListEngine::kRandomized},
+    {"sparse-400-6", "large", 0x1ce752ae6aa4b1ddULL, ListEngine::kRandomized},
+    {"3-components", "large", 0x982f20236b31d095ULL, ListEngine::kRandomized},
+    {"triangle-cactus", "large", 0x22e1cd570376f6deULL, ListEngine::kRandomized},
+    {"torus-200x200", "det", 0x8bdf236914f48908ULL},
 };
 
 Algorithm alg_from_tag(const std::string& tag) {
@@ -144,7 +161,8 @@ std::vector<Workload> make_zoo() {
 }
 
 TEST(GoldenDeterminism, EveryShapeLandsOnThePrePrFingerprint) {
-  const std::vector<Workload> zoo = make_zoo();
+  std::vector<Workload> zoo = make_zoo();
+  zoo.push_back({"torus-200x200", grid_graph(200, 200, /*wrap=*/true)});
   for (const Golden& golden : kGoldens) {
     const Graph* g = nullptr;
     for (const auto& w : zoo) {
@@ -156,9 +174,13 @@ TEST(GoldenDeterminism, EveryShapeLandsOnThePrePrFingerprint) {
       DeltaColoringOptions opt;
       opt.seed = 2024;
       opt.num_threads = threads;
+      opt.list_engine = golden.engine;
       const DeltaColoringResult res = delta_color(*g, alg, opt);
       EXPECT_EQ(result_fingerprint(res), golden.hash)
-          << golden.graph << " / " << golden.alg << " / T=" << threads;
+          << std::hex << golden.graph << " / " << golden.alg << " / "
+          << (golden.engine == ListEngine::kRandomized ? "rand-lists"
+                                                       : "det-lists")
+          << " / T=" << threads;
     }
   }
 }

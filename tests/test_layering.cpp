@@ -1,10 +1,16 @@
 // The layering driver shared by every algorithm (paper Section 3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "coloring/linial.h"
+#include "coloring/list_coloring.h"
 #include "core/layering.h"
 #include "graph/generators.h"
+#include "graph/ops.h"
 #include "graph/traversal.h"
+#include "runtime/thread_pool.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace deltacol {
@@ -46,6 +52,17 @@ TEST(Layering, MultipleBaseVertices) {
   EXPECT_EQ(l.layer[4], 4);
   EXPECT_EQ(l.layer[6], 2);
   EXPECT_EQ(l.members[0].size(), 2u);
+}
+
+TEST(Layering, MembersAscendById) {
+  Rng rng(9);
+  const Graph g = random_regular(400, 5, rng);
+  const Layering l = build_layers(g, {377, 12, 250}, -1);
+  for (int i = 0; i < l.num_layers; ++i) {
+    const auto& m = l.members[static_cast<std::size_t>(i)];
+    EXPECT_TRUE(std::is_sorted(m.begin(), m.end())) << "layer " << i;
+    for (int v : m) EXPECT_EQ(l.layer[static_cast<std::size_t>(v)], i);
+  }
 }
 
 class LayerColoringTest : public ::testing::TestWithParam<int> {};
@@ -103,6 +120,219 @@ TEST(LayerColoring, VertexSetInstanceSkipsColored) {
                                     nullptr, c, ledger, "t");
   EXPECT_EQ(c[0], 0);
   EXPECT_TRUE(is_proper_complete(g, c));
+}
+
+// The deterministic engine as it ran on an induced copy of the instance,
+// kept as the oracle for the in-place engine: lists are the palette minus
+// colored neighbors, det_list_coloring sweeps the schedule classes.
+void reference_instance(const Graph& g, const std::vector<int>& vertices,
+                        int delta, const Coloring& schedule,
+                        int schedule_colors, Coloring& c,
+                        RoundLedger& ledger) {
+  std::vector<int> todo;
+  for (int v : vertices) {
+    if (c[static_cast<std::size_t>(v)] == kUncolored) todo.push_back(v);
+  }
+  if (todo.empty()) return;
+  const auto sub = induced_subgraph(g, todo);
+  const int k = sub.graph.num_vertices();
+  ListAssignment lists(static_cast<std::size_t>(k));
+  Coloring sub_schedule(static_cast<std::size_t>(k));
+  for (int i = 0; i < k; ++i) {
+    const int p = sub.to_parent[static_cast<std::size_t>(i)];
+    lists[static_cast<std::size_t>(i)] = free_colors(g, c, p, delta);
+    sub_schedule[static_cast<std::size_t>(i)] =
+        schedule[static_cast<std::size_t>(p)];
+  }
+  ASSERT_TRUE(lists_have_deg_plus_one(sub.graph, lists));
+  Coloring sub_c(static_cast<std::size_t>(k), kUncolored);
+  det_list_coloring(sub.graph, lists, sub_schedule, schedule_colors, sub_c,
+                    ledger, "t");
+  for (int i = 0; i < k; ++i) {
+    c[static_cast<std::size_t>(sub.to_parent[static_cast<std::size_t>(i)])] =
+        sub_c[static_cast<std::size_t>(i)];
+  }
+}
+
+// Random instances over a random partial coloring: with palette
+// max degree + 1 every instance is (deg+1) whatever the outside colors are,
+// so the pre-colored vertices may even clash. The sparse graphs are large
+// enough that the entry check and the class sweeps take their pooled paths;
+// the circulant's palette above 64 takes the multi-word free-color count.
+TEST(ListInstance, InPlaceMatchesInducedReference) {
+  ThreadPool pool(4);
+  for (int d : {4, 7, 80}) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      Rng rng(seed * 31 + static_cast<std::uint64_t>(d));
+      std::vector<int> offsets(static_cast<std::size_t>(d / 2));
+      for (int i = 0; i < d / 2; ++i) offsets[static_cast<std::size_t>(i)] = i + 1;
+      const Graph g = d < 64 ? random_regular(4000, d, rng)
+                             : circulant_graph(240, offsets);
+      const int n = g.num_vertices();
+      const int delta = g.max_degree() + 1;
+      RoundLedger tmp;
+      const auto lin = delta_plus_one_schedule(g, tmp);
+      Coloring start(static_cast<std::size_t>(n), kUncolored);
+      for (int v = 0; v < n; ++v) {
+        if (rng.next_bool(0.3)) {
+          start[static_cast<std::size_t>(v)] =
+              static_cast<Color>(rng.next_below(static_cast<std::uint64_t>(delta)));
+        }
+      }
+      std::vector<int> vertices;
+      for (int v = 0; v < n; ++v) {
+        if (rng.next_bool(0.6)) vertices.push_back(v);
+      }
+      Coloring want = start;
+      RoundLedger want_ledger;
+      reference_instance(g, vertices, delta, lin.coloring, lin.num_colors,
+                         want, want_ledger);
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        Coloring got = start;
+        RoundLedger got_ledger;
+        color_vertex_set_as_list_instance(
+            g, vertices, delta, lin.coloring, lin.num_colors,
+            ListEngine::kDeterministic, nullptr, got, got_ledger, "t", p);
+        EXPECT_EQ(got, want) << "d=" << d << " seed=" << seed;
+        EXPECT_EQ(got_ledger.total(), want_ledger.total());
+      }
+    }
+  }
+}
+
+TEST(ListInstance, OutOfRangeVertexThrowsBeforeAnyWrite) {
+  const Graph g = cycle_graph(6);
+  RoundLedger tmp;
+  const auto lin = linial_coloring(g, tmp);
+  for (int bad : {-1, 6, 1 << 20}) {
+    Coloring c(6, kUncolored);
+    RoundLedger ledger;
+    EXPECT_THROW(color_vertex_set_as_list_instance(
+                     g, {0, 1, bad, 2}, 3, lin.coloring, lin.num_colors,
+                     ListEngine::kDeterministic, nullptr, c, ledger, "t"),
+                 ContractViolation)
+        << bad;
+    EXPECT_EQ(c, Coloring(6, kUncolored));
+    EXPECT_EQ(ledger.total(), 0);
+  }
+  Coloring short_c(5, kUncolored);
+  RoundLedger ledger;
+  EXPECT_THROW(color_vertex_set_as_list_instance(
+                   g, {0, 1}, 3, lin.coloring, lin.num_colors,
+                   ListEngine::kDeterministic, nullptr, short_c, ledger, "t"),
+               ContractViolation);
+}
+
+TEST(ListInstance, DuplicateAndUnsortedVerticesMatchTheSortedSet) {
+  Rng rng(12);
+  const Graph g = random_regular(120, 4, rng);
+  RoundLedger tmp;
+  const auto lin = linial_coloring(g, tmp);
+  std::vector<int> sorted_set;
+  for (int v = 0; v < 120; v += 3) sorted_set.push_back(v);
+  std::vector<int> messy = sorted_set;
+  std::reverse(messy.begin(), messy.end());
+  messy.insert(messy.end(), sorted_set.begin(), sorted_set.begin() + 10);
+  for (ListEngine engine : {ListEngine::kDeterministic, ListEngine::kRandomized}) {
+    Coloring want(120, kUncolored);
+    Coloring got(120, kUncolored);
+    RoundLedger want_ledger;
+    RoundLedger got_ledger;
+    Rng want_rng(3);
+    Rng got_rng(3);
+    color_vertex_set_as_list_instance(g, sorted_set, 5, lin.coloring,
+                                      lin.num_colors, engine, &want_rng, want,
+                                      want_ledger, "t");
+    color_vertex_set_as_list_instance(g, messy, 5, lin.coloring,
+                                      lin.num_colors, engine, &got_rng, got,
+                                      got_ledger, "t");
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(got_ledger.total(), want_ledger.total());
+    EXPECT_TRUE(is_proper_partial(g, got));
+    for (int v : sorted_set) EXPECT_NE(got[static_cast<std::size_t>(v)], kUncolored);
+  }
+}
+
+TEST(ListInstance, TooFewFreeColorsThrowsAndLeavesCUntouched) {
+  // 4-cycle 0-1-2-3, palette 2: vertex 1 sees colors 0 and 1 on its
+  // neighbors, so its list is empty.
+  const Graph g = cycle_graph(4);
+  const Coloring schedule{0, 1, 0, 1};
+  for (ListEngine engine : {ListEngine::kDeterministic, ListEngine::kRandomized}) {
+    Coloring c{0, kUncolored, 1, kUncolored};
+    RoundLedger ledger;
+    Rng rng(1);
+    EXPECT_THROW(color_vertex_set_as_list_instance(g, {1, 3}, 2, schedule, 2,
+                                                   engine, &rng, c, ledger,
+                                                   "t"),
+                 ContractViolation);
+    EXPECT_EQ(c, (Coloring{0, kUncolored, 1, kUncolored}));
+  }
+  // Instance neighbors count toward the degree: the middle of an
+  // uncolored path has 2 instance neighbors and only 2 colors.
+  for (ListEngine engine : {ListEngine::kDeterministic, ListEngine::kRandomized}) {
+    const Graph path = path_graph(3);
+    Coloring c(3, kUncolored);
+    RoundLedger ledger;
+    Rng rng(1);
+    EXPECT_THROW(color_vertex_set_as_list_instance(path, {0, 1, 2}, 2,
+                                                   Coloring{0, 1, 0}, 2, engine,
+                                                   &rng, c, ledger, "t"),
+                 ContractViolation);
+    EXPECT_EQ(c, Coloring(3, kUncolored));
+  }
+  // Repeated neighbor colors block one color, not two: with both
+  // neighbors on color 0, vertex 1 still has color 1.
+  Coloring c{0, kUncolored, 0, kUncolored};
+  RoundLedger ledger;
+  color_vertex_set_as_list_instance(g, {1, 3}, 2, schedule, 2,
+                                    ListEngine::kDeterministic, nullptr, c,
+                                    ledger, "t");
+  EXPECT_EQ(c, (Coloring{0, 1, 0, 1}));
+
+  // The same past 64 colors: the center of a 70-leaf star with palette 70.
+  const Graph star = star_graph(70);
+  const Coloring star_schedule(71, 0);
+  Coloring distinct(71, kUncolored);
+  for (int i = 1; i <= 70; ++i) distinct[static_cast<std::size_t>(i)] = i - 1;
+  EXPECT_THROW(color_vertex_set_as_list_instance(
+                   star, {0}, 70, star_schedule, 1, ListEngine::kDeterministic,
+                   nullptr, distinct, ledger, "t"),
+               ContractViolation);
+  EXPECT_EQ(distinct[0], kUncolored);
+  Coloring repeated = distinct;
+  repeated[70] = 3;  // color 69 is now free
+  color_vertex_set_as_list_instance(star, {0}, 70, star_schedule, 1,
+                                    ListEngine::kDeterministic, nullptr,
+                                    repeated, ledger, "t");
+  EXPECT_EQ(repeated[0], 69);
+}
+
+TEST(ListInstance, ImproperScheduleThrowsAndLeavesCUntouched) {
+  const Graph g = path_graph(4);
+  // 1 and 2 are adjacent instance vertices in one schedule class.
+  const Coloring clash{0, 1, 1, 0};
+  // A schedule color outside [0, schedule_colors).
+  const Coloring out_of_palette{0, 1, 2, 0};
+  for (const Coloring* schedule : {&clash, &out_of_palette}) {
+    Coloring c(4, kUncolored);
+    RoundLedger ledger;
+    EXPECT_THROW(color_vertex_set_as_list_instance(
+                     g, {0, 1, 2, 3}, 3, *schedule, 2,
+                     ListEngine::kDeterministic, nullptr, c, ledger, "t"),
+                 ContractViolation);
+    EXPECT_EQ(c, Coloring(4, kUncolored));
+    EXPECT_EQ(ledger.total(), 0);
+  }
+  // A class clash across the instance boundary is harmless: vertex 2 is
+  // colored already, so the instance {0, 1} has no edge inside one class.
+  Coloring c{kUncolored, kUncolored, 2, kUncolored};
+  RoundLedger ledger;
+  color_vertex_set_as_list_instance(g, {0, 1}, 3, clash, 2,
+                                    ListEngine::kDeterministic, nullptr, c,
+                                    ledger, "t");
+  EXPECT_TRUE(is_proper_partial(g, c));
+  EXPECT_EQ(ledger.total(), 2);
 }
 
 }  // namespace
