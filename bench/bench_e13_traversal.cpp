@@ -1,16 +1,17 @@
 // E13 — traversal engine throughput (graph/frontier_bfs.h; DESIGN.md §6).
 //
 // The one experiment that measures the simulator's BFS substrate itself,
-// introduced with the frontier engine rewrite:
+// introduced with the epoch-stamped scratch:
 //
 //  * repeated r-ball queries — the DCC-detection access pattern — through
 //    the seed-style implementation (a fresh O(n) distance vector + O(n)
 //    result scan per query) vs the epoch-stamped scratch (O(ball) per
 //    query). `speedup_vs_seed` is the acceptance counter: >= 5x at n = 1M.
-//  * full-graph layered BFS and labeled multi-source BFS, serial vs pooled
-//    (threads ∈ {1, 2, 8}) — the build_layers / ruling-set coverage
-//    pattern. `speedup_vs_1t` mirrors E12; rounds play no role here, the
-//    engine is below the cost model.
+//  * full-graph layered BFS and labeled multi-source BFS — the build_layers
+//    / ruling-set coverage pattern, as serial `mverts_per_s` rows; rounds
+//    play no role here, the engine is below the cost model. (A pooled
+//    frontier expansion used to be measured here too; it ran layered BFS at
+//    0.49–0.66x of serial and was retired, see EXPERIMENTS.md E13.)
 //
 // Emission: wall-clock per row (both harnesses), plus BENCH_*.json when
 // DELTACOL_BENCH_JSON is set under the minibench harness (see
@@ -18,13 +19,10 @@
 #include <chrono>
 #include <map>
 #include <queue>
-#include <tuple>
 #include <utility>
 
 #include "bench_common.h"
 #include "graph/frontier_bfs.h"
-#include "graph/traversal.h"
-#include "runtime/thread_pool.h"
 
 namespace deltacol::bench {
 namespace {
@@ -72,10 +70,10 @@ std::size_t seed_style_ball_size(const Graph& g, int v, int r) {
   return count;
 }
 
-// 1-run wall-clock baselines for the speedup counters, filled by the
-// baseline row of each series (rows run in registration order).
-std::map<std::tuple<int, int, int>, double>& baselines() {
-  static std::map<std::tuple<int, int, int>, double> b;
+// 1-run wall-clock baselines of the seed-style ball queries, keyed by
+// (n, r), for speedup_vs_seed (rows run in registration order).
+std::map<std::pair<int, int>, double>& baselines() {
+  static std::map<std::pair<int, int>, double> b;
   return b;
 }
 
@@ -88,7 +86,7 @@ void e13_csv(benchmark::State& state, const std::string& family) {
   CsvSink::emit(family, row);
 }
 
-// ---- repeated r-ball queries (series id 0) --------------------------------
+// ---- repeated r-ball queries ----------------------------------------------
 
 void E13_BallSeedStyle(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -113,7 +111,7 @@ void E13_BallSeedStyle(benchmark::State& state) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   benchmark::DoNotOptimize(checksum);
-  baselines()[std::make_tuple(0, n, r)] = secs;
+  baselines()[std::make_pair(n, r)] = secs;
   state.counters["queries_per_s"] = secs > 0.0 ? kBallQueries / secs : 0.0;
   state.counters["mean_ball"] =
       queries > 0 ? static_cast<double>(checksum) / static_cast<double>(queries)
@@ -126,11 +124,10 @@ void E13_BallScratch(benchmark::State& state) {
   const int r = static_cast<int>(state.range(1));
   const Graph& g = cached_regular(n);
   BfsScratch scratch;
-  FrontierBfs engine;
   std::size_t checksum = 0;
   for (auto _ : state) {
     for (int i = 0; i < kBallQueries; ++i) {
-      engine.run(g, scratch, center(i, n), r);
+      scratch.run(g, center(i, n), r);
       checksum += scratch.order().size();
     }
   }
@@ -138,7 +135,7 @@ void E13_BallScratch(benchmark::State& state) {
 
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < kBallQueries; ++i) {
-    engine.run(g, scratch, center(i, n), r);
+    scratch.run(g, center(i, n), r);
     checksum += scratch.order().size();
   }
   const double secs =
@@ -146,30 +143,27 @@ void E13_BallScratch(benchmark::State& state) {
           .count();
   benchmark::DoNotOptimize(checksum);
   state.counters["queries_per_s"] = secs > 0.0 ? kBallQueries / secs : 0.0;
-  const auto it = baselines().find(std::make_tuple(0, n, r));
+  const auto it = baselines().find(std::make_pair(n, r));
   state.counters["speedup_vs_seed"] =
       (it != baselines().end() && secs > 0.0) ? it->second / secs : 0.0;
   e13_csv(state, "e13_ball_scratch");
 }
 
-// ---- full-graph layered / multi-source BFS, serial vs pooled --------------
+// ---- full-graph layered / multi-source BFS --------------------------------
 
-void run_full_graph(benchmark::State& state, bool multi_source, int series) {
+void run_full_graph(benchmark::State& state, bool multi_source) {
   const int n = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
   const Graph& g = cached_regular(n);
-  ThreadPool pool(threads);
   BfsScratch scratch;
-  FrontierBfs engine(threads > 1 ? &pool : nullptr);
   std::vector<int> seeds;
   if (multi_source) {
     for (int i = 0; i < n / 64; ++i) seeds.push_back(center(i, n));
   }
   auto sweep = [&] {
     if (multi_source) {
-      engine.run_multi_labeled(g, scratch, seeds);
+      scratch.run_multi_labeled(g, seeds);
     } else {
-      engine.run(g, scratch, 0);
+      scratch.run(g, 0);
     }
     return scratch.order().size() + static_cast<std::size_t>(scratch.num_levels());
   };
@@ -183,22 +177,15 @@ void run_full_graph(benchmark::State& state, bool multi_source, int series) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   benchmark::DoNotOptimize(checksum);
-  state.counters["threads"] = threads;
   state.counters["levels"] = scratch.num_levels();
   state.counters["mverts_per_s"] =
       secs > 0.0 ? static_cast<double>(scratch.order().size()) / secs / 1e6
                  : 0.0;
-  if (threads == 1) baselines()[std::make_tuple(series, n, 0)] = secs;
-  const auto it = baselines().find(std::make_tuple(series, n, 0));
-  state.counters["speedup_vs_1t"] =
-      (it != baselines().end() && secs > 0.0) ? it->second / secs : 0.0;
   e13_csv(state, multi_source ? "e13_multi_source" : "e13_layers");
 }
 
-void E13_Layers(benchmark::State& state) { run_full_graph(state, false, 1); }
-void E13_MultiSource(benchmark::State& state) {
-  run_full_graph(state, true, 2);
-}
+void E13_Layers(benchmark::State& state) { run_full_graph(state, false); }
+void E13_MultiSource(benchmark::State& state) { run_full_graph(state, true); }
 
 }  // namespace
 }  // namespace deltacol::bench
@@ -214,11 +201,11 @@ BENCHMARK(deltacol::bench::E13_BallScratch)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(deltacol::bench::E13_Layers)
-    ->ArgsProduct({{100000, 1000000}, {1, 2, 8}})
+    ->Arg(100000)->Arg(1000000)
     ->Iterations(2)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(deltacol::bench::E13_MultiSource)
-    ->ArgsProduct({{100000, 1000000}, {1, 2, 8}})
+    ->Arg(100000)->Arg(1000000)
     ->Iterations(2)
     ->Unit(benchmark::kMillisecond);

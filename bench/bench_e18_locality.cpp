@@ -131,7 +131,7 @@ void E18_CrossTraffic(benchmark::State& state) {
   const VertexPartition contig =
       VertexPartition::contiguous(g.num_vertices(), num_shards);
   const VertexPartition cluster =
-      make_partition(g, num_shards, PartitionStrategy::kCluster, nullptr);
+      make_partition(g, num_shards, PartitionStrategy::kCluster);
 
   const double frac_contig = cross_edge_fraction(g, contig);
   const double frac_cluster = cross_edge_fraction(g, cluster);
@@ -223,7 +223,7 @@ void E18_WirePayload(benchmark::State& state) {
   const VertexPartition contig =
       VertexPartition::contiguous(g.num_vertices(), kWorld);
   const VertexPartition cluster =
-      make_partition(g, kWorld, PartitionStrategy::kCluster, nullptr);
+      make_partition(g, kWorld, PartitionStrategy::kCluster);
   bool ok = true;
   std::int64_t wire_contig = 0, wire_cluster = 0;
   for (auto _ : state) {

@@ -141,7 +141,7 @@ void E20_OwnerRouted(benchmark::State& state) {
   const VertexPartition part =
       strategy == 0
           ? VertexPartition::contiguous(g.num_vertices(), world)
-          : make_partition(g, world, PartitionStrategy::kCluster, nullptr);
+          : make_partition(g, world, PartitionStrategy::kCluster);
 
   std::vector<bool> oracle;
   {

@@ -9,7 +9,7 @@
 #include "bench_common.h"
 
 #include "dcc/dcc.h"
-#include "graph/traversal.h"
+#include "graph/frontier_bfs.h"
 
 namespace deltacol::bench {
 namespace {

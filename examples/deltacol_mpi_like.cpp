@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
     // partition, computable locally); the wire verification covers the
     // local rank. Slices live in the partition's layout space (identical to
     // original ids for the contiguous strategy).
-    const VertexPartition part = make_partition(g, S, strategy, nullptr);
+    const VertexPartition part = make_partition(g, S, strategy);
     for (int r = 0; r < S; ++r) {
       const CsrSlice s = !load_path.empty()
                              ? load_edge_list_slice(load_path, part, r)

@@ -6,7 +6,6 @@
 #include "graph/components.h"
 #include "graph/ops.h"
 #include "graph/structure.h"
-#include "graph/traversal.h"
 #include "util/check.h"
 
 namespace deltacol {

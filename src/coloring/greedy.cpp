@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "graph/traversal.h"
+#include "graph/frontier_bfs.h"
 #include "util/check.h"
 
 namespace deltacol {

@@ -7,13 +7,12 @@
 
 namespace deltacol {
 
-GossipTree build_gossip_tree(const Graph& g, int root, ThreadPool* pool) {
+GossipTree build_gossip_tree(const Graph& g, int root) {
   const int n = g.num_vertices();
   DC_REQUIRE(0 <= root && root < n, "gossip root out of range");
 
   BfsScratch scratch;
-  FrontierBfs bfs(pool);
-  bfs.run(g, scratch, root);
+  scratch.run(g, root);
 
   GossipTree tree;
   tree.root = root;
@@ -28,8 +27,7 @@ GossipTree build_gossip_tree(const Graph& g, int root, ThreadPool* pool) {
   }
   // Claim-order replay: sweep the visit order; the first frontier vertex u
   // whose neighbor scan reaches a next-level vertex w is exactly the vertex
-  // that claimed w in the engine (serial and pooled engines share this
-  // order), so parent assignment reproduces the engine's BFS tree.
+  // that claimed w in the BFS, so parent assignment reproduces its tree.
   std::vector<char> claimed(static_cast<std::size_t>(n), 0);
   claimed[static_cast<std::size_t>(root)] = 1;
   for (int u : scratch.order()) {

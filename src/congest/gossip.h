@@ -4,10 +4,9 @@
 /// this library's traversal + accounting substrate.
 ///
 /// A `GossipTree` is the BFS tree of the root's connected component,
-/// extracted from a FrontierBfs run by replaying the engine's claim order
+/// extracted from a `BfsScratch` run by replaying its claim order
 /// (graph/frontier_bfs.h): the parent of w is the frontier vertex that first
-/// scanned w, so the tree is bit-identical for every thread count — the same
-/// determinism contract as everything else in the runtime.
+/// scanned w, so the tree is a pure function of the graph and the root.
 ///
 /// Both primitives move one payload per tree edge per level, so a
 /// height-h tree costs h message rounds, each charged through the ledger's
@@ -30,8 +29,6 @@
 
 namespace deltacol {
 
-class ThreadPool;  // src/runtime/thread_pool.h; nullptr = serial
-
 /// BFS spanning tree of the root's connected component. Vertices outside the
 /// component have parent(v) = -1, depth(v) = -1 and appear in no child list.
 struct GossipTree {
@@ -53,10 +50,8 @@ struct GossipTree {
   }
 };
 
-/// Builds the BFS spanning tree rooted at `root`. The pooled and serial
-/// engines claim in the same order, so the tree is thread-count invariant.
-GossipTree build_gossip_tree(const Graph& g, int root,
-                             ThreadPool* pool = nullptr);
+/// Builds the BFS spanning tree rooted at `root`.
+GossipTree build_gossip_tree(const Graph& g, int root);
 
 /// Broadcast: the root's `value` propagates down the tree, one level per
 /// message round, each round carrying `payload_bits` bits on every tree edge

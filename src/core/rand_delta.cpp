@@ -22,7 +22,6 @@
 #include "graph/components.h"
 #include "graph/frontier_bfs.h"
 #include "graph/ops.h"
-#include "graph/traversal.h"
 #include "mis/mis.h"
 #include "runtime/component_scheduler.h"
 #include "runtime/thread_pool.h"
@@ -68,10 +67,9 @@ MarkingOutcome marking_process(const Graph& g, const std::vector<bool>& in_h,
       pool, 0, num_selected,
       [&](int /*chunk*/, int lo, int hi) {
         BfsScratch scratch;
-        FrontierBfs engine;
         for (int i = lo; i < hi; ++i) {
           const int v = selected0[static_cast<std::size_t>(i)];
-          engine.run_filtered(g, scratch, v, b, [&](int u) {
+          scratch.run_filtered(g, v, b, [&](int u) {
             return in_h[static_cast<std::size_t>(u)];
           });
           for (int u : scratch.order()) {
@@ -171,7 +169,7 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
   Layering b_layers;
   std::vector<bool> in_h(static_cast<std::size_t>(n), true);
   if (!base.empty()) {
-    b_layers = build_layers(g, base, s, ctx.pool);
+    b_layers = build_layers(g, base, s);
     ctx.ledger.charge(s, "rand/3-b-layers");
     for (int v = 0; v < n; ++v) {
       if (b_layers.layer[static_cast<std::size_t>(v)] != kNoLayer) {
@@ -223,8 +221,7 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
   // themselves (distances measured in H): a frontier BFS restricted to H.
   if (!boundary.empty()) {
     BfsScratch scratch;
-    FrontierBfs engine(ctx.pool);
-    engine.run_multi_filtered(g, scratch, boundary, r, [&](int w) {
+    scratch.run_multi_filtered(g, boundary, r, [&](int w) {
       return in_h[static_cast<std::size_t>(w)];
     });
     for (int m : marking.marked) {
@@ -263,8 +260,7 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
   Layering c_layers;
   std::vector<bool> in_c(static_cast<std::size_t>(n), false);
   if (!anchors.empty()) {
-    c_layers =
-        build_layers_restricted(g, anchors, 2 * r, uncolored_h, ctx.pool);
+    c_layers = build_layers_restricted(g, anchors, 2 * r, uncolored_h);
     for (int v = 0; v < n; ++v) {
       if (c_layers.layer[static_cast<std::size_t>(v)] != kNoLayer) {
         in_c[static_cast<std::size_t>(v)] = true;

@@ -21,7 +21,6 @@
 #include "dcc/dcc.h"
 #include "graph/frontier_bfs.h"
 #include "graph/ops.h"
-#include "graph/traversal.h"
 #include "mis/mis.h"
 #include "util/check.h"
 
@@ -176,7 +175,7 @@ bool color_small_component(ComponentContext& ctx, Coloring& c,
   // exhausted (Lemma 26 bounds the layer count, which we record implicitly
   // through the charges below).
   const Layering d_layers =
-      build_layers(comp, anchors, -1, ctx.pool);
+      build_layers(comp, anchors, -1);
   ctx.ledger.charge(d_layers.num_layers, "small/d-layers");
   for (int v = 0; v < nc; ++v) {
     DC_ENSURE(d_layers.layer[static_cast<std::size_t>(v)] != kNoLayer,

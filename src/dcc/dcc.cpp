@@ -7,8 +7,8 @@
 #include <span>
 
 #include "graph/components.h"
+#include "graph/frontier_bfs.h"
 #include "graph/structure.h"
-#include "graph/traversal.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
 

@@ -1,8 +1,12 @@
 #include "graph/io.h"
 
+#include <cctype>
+#include <charconv>
 #include <fstream>
-#include <sstream>
+#include <limits>
 #include <string>
+#include <system_error>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -16,27 +20,71 @@ void write_edge_list(std::ostream& out, const Graph& g) {
   }
 }
 
-Graph read_edge_list(std::istream& in) {
-  std::string line;
-  int n = -1;
-  std::int64_t m = -1;
-  std::vector<Edge> edges;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    if (n < 0) {
-      DC_REQUIRE(static_cast<bool>(ls >> n >> m), "bad edge-list header");
-      DC_REQUIRE(n >= 0 && m >= 0, "negative counts in header");
-      continue;
-    }
-    int u, v;
-    DC_REQUIRE(static_cast<bool>(ls >> u >> v), "bad edge-list line");
-    edges.emplace_back(u, v);
+namespace {
+
+// The two integers of a header or edge line, with nothing but whitespace
+// around and between them.
+std::pair<std::int64_t, std::int64_t> parse_two_integers(std::string_view line,
+                                                         const char* what) {
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  auto skip_space = [&] {
+    const char* start = p;
+    while (p < end && std::isspace(static_cast<unsigned char>(*p))) ++p;
+    return p > start;
+  };
+  std::int64_t value[2];
+  for (int i = 0; i < 2; ++i) {
+    const bool spaced = skip_space();
+    DC_REQUIRE(i == 0 || spaced, what);
+    const auto [next, ec] = std::from_chars(p, end, value[i]);
+    DC_REQUIRE(ec == std::errc(), what);
+    p = next;
   }
-  DC_REQUIRE(n >= 0, "edge list missing header");
-  DC_REQUIRE(static_cast<std::int64_t>(edges.size()) == m,
-             "edge count does not match header");
-  return Graph::from_edges(n, edges);
+  skip_space();
+  DC_REQUIRE(p == end, what);
+  return {value[0], value[1]};
+}
+
+}  // namespace
+
+EdgeListParser::Line EdgeListParser::parse(std::string_view line) {
+  if (line.empty() || line[0] == '#') return Line::kSkip;
+  if (n_ < 0) {
+    const auto [n, m] = parse_two_integers(line, "bad edge-list header");
+    DC_REQUIRE(n >= 0 && m >= 0, "negative counts in header");
+    DC_REQUIRE(n <= std::numeric_limits<int>::max(),
+               "vertex count in header too large");
+    n_ = static_cast<int>(n);
+    m_ = m;
+    return Line::kHeader;
+  }
+  const auto [u, v] = parse_two_integers(line, "bad edge-list line");
+  DC_REQUIRE(u >= 0 && u < n_ && v >= 0 && v < n_,
+             "edge endpoint out of range");
+  DC_REQUIRE(u != v, "self-loop in edge list");
+  u_ = static_cast<int>(u);
+  v_ = static_cast<int>(v);
+  ++edges_seen_;
+  return Line::kEdge;
+}
+
+void EdgeListParser::finish() const {
+  DC_REQUIRE(n_ >= 0, "edge list missing header");
+  DC_REQUIRE(edges_seen_ == m_, "edge count does not match header");
+}
+
+Graph read_edge_list(std::istream& in) {
+  EdgeListParser parser;
+  std::vector<Edge> edges;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (parser.parse(line) == EdgeListParser::Line::kEdge) {
+      edges.emplace_back(parser.u(), parser.v());
+    }
+  }
+  parser.finish();
+  return Graph::from_edges(parser.n(), edges);
 }
 
 void write_dot(std::ostream& out, const Graph& g,

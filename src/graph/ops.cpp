@@ -74,10 +74,9 @@ Graph power_graph(const Graph& g, int k, ThreadPool* pool) {
       pool, 0, n,
       [&](int chunk, int lo, int hi) {
         BfsScratch scratch;
-        FrontierBfs engine;
         auto& edges = chunk_edges[static_cast<std::size_t>(chunk)];
         for (int v = lo; v < hi; ++v) {
-          engine.run(g, scratch, v, k);
+          scratch.run(g, v, k);
           for (int u : scratch.order()) {
             if (u > v) edges.emplace_back(v, u);
           }

@@ -13,9 +13,9 @@
 /// (experiment E18 measures the drop).
 ///
 /// The algorithm (chosen over label propagation — see DESIGN.md §6 for the
-/// justification) is deterministic BFS ball growing on the existing
-/// `FrontierBfs` engine, the same machinery the paper's network
-/// decomposition uses for cluster growing:
+/// justification) is deterministic BFS ball growing on the library's one
+/// BFS (`BfsScratch`, graph/frontier_bfs.h), the same machinery the paper's
+/// network decomposition uses for cluster growing:
 ///
 ///  1. **Grow.** Repeatedly take the lowest still-unassigned id as a seed,
 ///     run a filtered BFS over unassigned vertices, and carve off the first
@@ -44,7 +44,6 @@
 
 #include "graph/graph.h"
 #include "graph/partition.h"
-#include "runtime/thread_pool.h"
 
 namespace deltacol {
 
@@ -75,10 +74,8 @@ Renumbering identity_renumbering(int n);
 /// Deterministic BFS-ball clustering + DFS linearization (file comment).
 /// target_cluster_size <= 0 picks the default max(1, n/64) — small enough
 /// that any shard count up to 64 gets whole clusters, large enough that the
-/// quotient stays tiny. The pool only accelerates the BFS expansion; the
-/// result is bit-identical for every pool size (FrontierBfs contract).
-Renumbering cluster_renumbering(const Graph& g, int target_cluster_size = 0,
-                                ThreadPool* pool = nullptr);
+/// quotient stays tiny.
+Renumbering cluster_renumbering(const Graph& g, int target_cluster_size = 0);
 
 /// The graph in layout coordinates: vertex p is renum.original_of(p), edges
 /// relabeled accordingly. The runtime never needs this (execution stays in
@@ -91,7 +88,6 @@ Graph relabeled_graph(const Graph& g, const Renumbering& renum);
 /// S == 1 always yields the contiguous partition (no renumbering cost on
 /// the serial path).
 VertexPartition make_partition(const Graph& g, int num_shards,
-                               PartitionStrategy strategy,
-                               ThreadPool* pool = nullptr);
+                               PartitionStrategy strategy);
 
 }  // namespace deltacol

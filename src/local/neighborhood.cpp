@@ -13,8 +13,7 @@ void NeighborhoodOracle::begin_gather(int radius, std::string_view phase) {
 Subgraph NeighborhoodOracle::ball_subgraph(int v, int r) {
   DC_REQUIRE(r <= gathered_radius_,
              "ball radius exceeds the last gathered radius; call begin_gather");
-  FrontierBfs engine;
-  engine.run(graph_, scratch_, v, r);
+  scratch_.run(graph_, v, r);
   return induced_subgraph(graph_, scratch_.order());
 }
 

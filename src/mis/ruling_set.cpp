@@ -4,7 +4,6 @@
 
 #include "coloring/linial.h"
 #include "graph/frontier_bfs.h"
-#include "graph/traversal.h"
 #include "mis/mis.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
@@ -36,11 +35,9 @@ Graph auxiliary_graph(const Graph& g, const std::vector<int>& subset,
       pool, 0, k,
       [&](int chunk, int lo, int hi) {
         BfsScratch scratch;
-        FrontierBfs engine;
         auto& edges = chunk_edges[static_cast<std::size_t>(chunk)];
         for (int i = lo; i < hi; ++i) {
-          engine.run(g, scratch, subset[static_cast<std::size_t>(i)],
-                     alpha - 1);
+          scratch.run(g, subset[static_cast<std::size_t>(i)], alpha - 1);
           for (int v : scratch.order()) {
             const int j = local_id[static_cast<std::size_t>(v)];
             if (j > i) edges.emplace_back(i, j);
@@ -211,9 +208,8 @@ bool is_ruling_set(const Graph& g, const std::vector<int>& subset,
                    const std::vector<int>& ruling, int alpha, int beta) {
   // Packing: pairwise distance >= alpha. One scratch serves every sweep.
   BfsScratch scratch;
-  FrontierBfs engine;
   for (std::size_t i = 0; i < ruling.size(); ++i) {
-    engine.run(g, scratch, ruling[i], alpha - 1);
+    scratch.run(g, ruling[i], alpha - 1);
     for (std::size_t j = 0; j < ruling.size(); ++j) {
       if (i == j) continue;
       if (scratch.visited(ruling[j])) return false;

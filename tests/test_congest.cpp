@@ -321,19 +321,6 @@ TEST(Gossip, TreeStructureOnAPath) {
   EXPECT_TRUE(tree.children[4].empty());
 }
 
-TEST(Gossip, TreeIsThreadCountInvariant) {
-  Rng rng(51);
-  const Graph g = random_graph_max_degree(600, 8, 2.5, rng);
-  const GossipTree serial = build_gossip_tree(g, 3);
-  for (int threads : {2, 8}) {
-    ThreadPool pool(threads);
-    const GossipTree pooled = build_gossip_tree(g, 3, &pool);
-    EXPECT_EQ(pooled.parent, serial.parent) << threads;
-    EXPECT_EQ(pooled.depth, serial.depth) << threads;
-    EXPECT_EQ(pooled.height, serial.height) << threads;
-  }
-}
-
 TEST(Gossip, TreeCoversOnlyTheRootComponent) {
   Rng rng(53);
   const Graph g =

@@ -12,7 +12,6 @@
 #include "graph/generators.h"
 #include "graph/ops.h"
 #include "graph/structure.h"
-#include "graph/traversal.h"
 #include "local/round_ledger.h"
 #include "runtime/thread_pool.h"
 #include "util/rng.h"
@@ -95,10 +94,9 @@ DccDetection detect_dccs(const Graph& g, int r) {
   out.selected.assign(n, -1);
   BfsScratch ball_scratch;
   BfsScratch sub_scratch;
-  FrontierBfs engine;
   std::map<std::vector<int>, int> dcc_index;
   for (int v = 0; v < n; ++v) {
-    engine.run(g, ball_scratch, v, r);
+    ball_scratch.run(g, v, r);
     const auto ball_vertices = ball_scratch.order();
     std::vector<int> local_index(n, -1);
     for (std::size_t i = 0; i < ball_vertices.size(); ++i) {
@@ -115,7 +113,7 @@ DccDetection detect_dccs(const Graph& g, int r) {
         Graph::from_edges(static_cast<int>(ball_vertices.size()), edges);
     const auto blocks = oracle::dcc_blocks(sub);
     if (blocks.empty()) continue;
-    engine.run(sub, sub_scratch, 0);
+    sub_scratch.run(sub, 0);
     int best_dist = -1;
     const std::vector<int>* best_block = nullptr;
     std::vector<int> best_key;

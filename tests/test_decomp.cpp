@@ -5,7 +5,6 @@
 
 #include "decomp/network_decomposition.h"
 #include "graph/generators.h"
-#include "graph/traversal.h"
 #include "util/rng.h"
 
 namespace deltacol {

@@ -1,18 +1,19 @@
-// The frontier BFS engine's contract (graph/frontier_bfs.h):
+// The BFS contract (graph/frontier_bfs.h):
 //
 //  * golden equivalence — distances, visit levels, ball contents and
 //    nearest-source labels match the seed's queue-based reference
-//    implementations (reproduced below) on the generator zoo;
+//    implementations (reproduced below) on the generator zoo, unrestricted
+//    and under a traversal mask;
 //  * epoch reuse — one BfsScratch serves thousands of queries, across
 //    graphs of different sizes, without a stale-visitation bug;
-//  * thread-count invariance — the pooled chunk-deterministic expansion
-//    produces bit-identical visit orders, levels and labels for
-//    num_threads ∈ {1, 2, 8}, and the routed helpers (build_layers,
-//    graph_radius, power_graph, random_shift_decomposition) inherit that.
+//  * routed helpers — build_layers / build_layers_restricted match the
+//    reference; the vertex-chunked power_graph and
+//    random_shift_decomposition are thread-count invariant.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "core/layering.h"
@@ -20,7 +21,6 @@
 #include "graph/frontier_bfs.h"
 #include "graph/generators.h"
 #include "graph/ops.h"
-#include "graph/traversal.h"
 #include "runtime/thread_pool.h"
 #include "util/rng.h"
 
@@ -53,8 +53,11 @@ struct RefMultiSource {
   std::vector<int> source;
 };
 
+// `allowed` empty = no restriction; otherwise only allowed[w] vertices are
+// entered (seeds are always included).
 RefMultiSource ref_multi_source(const Graph& g, std::vector<int> seeds,
-                                int max_dist) {
+                                int max_dist,
+                                const std::vector<bool>& allowed = {}) {
   RefMultiSource out;
   const std::size_t n = static_cast<std::size_t>(g.num_vertices());
   out.dist.assign(n, -1);
@@ -73,6 +76,7 @@ RefMultiSource ref_multi_source(const Graph& g, std::vector<int> seeds,
     if (max_dist >= 0 && out.dist[static_cast<std::size_t>(u)] >= max_dist) continue;
     for (int w : g.neighbors(u)) {
       if (out.dist[static_cast<std::size_t>(w)] == -1) {
+        if (!allowed.empty() && !allowed[static_cast<std::size_t>(w)]) continue;
         out.dist[static_cast<std::size_t>(w)] =
             out.dist[static_cast<std::size_t>(u)] + 1;
         out.source[static_cast<std::size_t>(w)] =
@@ -147,11 +151,10 @@ std::vector<ZooEntry> generator_zoo() {
 
 TEST(FrontierBfs, GoldenSingleSourceOnZoo) {
   BfsScratch scratch;
-  FrontierBfs engine;
   for (const auto& [name, g] : generator_zoo()) {
     for (int max_dist : {-1, 0, 1, 2, 3, 7}) {
       for (int v : {0, g.num_vertices() / 2, g.num_vertices() - 1}) {
-        engine.run(g, scratch, v, max_dist);
+        scratch.run(g, v, max_dist);
         expect_matches_reference(
             g, scratch, ref_bfs_distances(g, v, max_dist),
             std::string(name) + "/src=" + std::to_string(v) + "/r=" +
@@ -174,10 +177,14 @@ TEST(FrontierBfs, GoldenMultiSourceLabeledOnZoo) {
     // Duplicates and unsorted order must not matter.
     seeds.push_back(seeds.front());
     std::reverse(seeds.begin(), seeds.end());
+    // A mask that excludes some seeds too: seeds are always entered.
+    std::vector<bool> allowed(static_cast<std::size_t>(n));
+    for (int v = 0; v < n; ++v) {
+      allowed[static_cast<std::size_t>(v)] = v % 5 != 2;
+    }
     for (int max_dist : {-1, 2}) {
       const auto ref = ref_multi_source(g, seeds, max_dist);
-      FrontierBfs engine;
-      engine.run_multi_labeled(g, scratch, seeds, max_dist);
+      scratch.run_multi_labeled(g, seeds, max_dist);
       expect_matches_reference(g, scratch, ref.dist, name);
       for (int v = 0; v < n; ++v) {
         if (ref.dist[static_cast<std::size_t>(v)] != -1) {
@@ -186,12 +193,18 @@ TEST(FrontierBfs, GoldenMultiSourceLabeledOnZoo) {
               << name << " vertex " << v;
         }
       }
+      const auto masked = ref_multi_source(g, seeds, max_dist, allowed);
+      scratch.run_multi_filtered(g, seeds, max_dist, [&](int v) {
+        return allowed[static_cast<std::size_t>(v)];
+      });
+      expect_matches_reference(g, scratch, masked.dist,
+                               std::string(name) + "/filtered");
     }
   }
 }
 
 TEST(FrontierBfs, ClassicApiStillMatchesReference) {
-  // The rewritten traversal.h entry points agree with the references.
+  // The value-returning entry points agree with the references.
   for (const auto& [name, g] : generator_zoo()) {
     const int v = g.num_vertices() / 3;
     EXPECT_EQ(bfs_distances(g, v), ref_bfs_distances(g, v, -1)) << name;
@@ -228,10 +241,9 @@ TEST(FrontierBfs, FilteredTemplateMatchesFunctionWrapper) {
   Rng rng(11);
   const Graph g = random_regular(400, 6, rng);
   BfsScratch scratch;
-  FrontierBfs engine;
   auto mask = [](int v) { return v % 3 != 0; };
   for (int v : {1, 2, 100, 399}) {
-    engine.run_filtered(g, scratch, v, 4, mask);
+    scratch.run_filtered(g, v, 4, mask);
     const std::vector<int> direct(scratch.order().begin(),
                                   scratch.order().end());
     const auto wrapped = ball_filtered(g, v, 4, mask);
@@ -249,14 +261,13 @@ TEST(FrontierBfs, EpochReuseAcrossThousandsOfQueries) {
   const Graph small = random_tree(37, 3, rng);
   const Graph grid = grid_graph(8, 8, false);
   BfsScratch scratch;
-  FrontierBfs engine;
   for (int q = 0; q < 4000; ++q) {
     // Alternate graphs of different sizes through the same scratch; verify
     // against the reference on a deterministic subsample.
     const Graph& g = (q % 3 == 0) ? small : (q % 3 == 1) ? grid : big;
     const int v = q % g.num_vertices();
     const int r = q % 5;
-    engine.run(g, scratch, v, r);
+    scratch.run(g, v, r);
     if (q % 37 == 0) {
       expect_matches_reference(g, scratch, ref_bfs_distances(g, v, r),
                                "query " + std::to_string(q));
@@ -269,49 +280,7 @@ TEST(FrontierBfs, EpochReuseAcrossThousandsOfQueries) {
   }
 }
 
-TEST(FrontierBfs, ThreadCountInvariance) {
-  // Frontiers above the parallel threshold: a 6-regular graph from a single
-  // source reaches thousands of frontier vertices per level; a multi-source
-  // run starts there. Visit order — not just the distance map — must be
-  // bit-identical for every thread count.
-  Rng rng(17);
-  const Graph g = random_regular(20000, 6, rng);
-  std::vector<int> seeds;
-  for (int v = 0; v < g.num_vertices(); v += 13) seeds.push_back(v);
-
-  BfsScratch serial_scratch;
-  FrontierBfs serial;
-  serial.run(g, serial_scratch, 0);
-  const std::vector<int> serial_order(serial_scratch.order().begin(),
-                                      serial_scratch.order().end());
-  serial.run_multi_labeled(g, serial_scratch, seeds, 4);
-  const std::vector<int> serial_ms_order(serial_scratch.order().begin(),
-                                         serial_scratch.order().end());
-  std::vector<int> serial_labels;
-  for (int v : serial_ms_order) {
-    serial_labels.push_back(serial_scratch.source_of(v));
-  }
-
-  for (int threads : {1, 2, 8}) {
-    ThreadPool pool(threads);
-    BfsScratch scratch;
-    FrontierBfs engine(&pool);
-    engine.run(g, scratch, 0);
-    const std::vector<int> order(scratch.order().begin(),
-                                 scratch.order().end());
-    EXPECT_EQ(order, serial_order) << threads << " threads";
-
-    engine.run_multi_labeled(g, scratch, seeds, 4);
-    const std::vector<int> ms_order(scratch.order().begin(),
-                                    scratch.order().end());
-    EXPECT_EQ(ms_order, serial_ms_order) << threads << " threads";
-    std::vector<int> labels;
-    for (int v : ms_order) labels.push_back(scratch.source_of(v));
-    EXPECT_EQ(labels, serial_labels) << threads << " threads";
-  }
-}
-
-TEST(FrontierBfs, RoutedHelpersAreThreadCountInvariant) {
+TEST(FrontierBfs, RoutedHelpersMatchReference) {
   Rng rng(19);
   const Graph g = random_regular(3000, 5, rng);
   std::vector<int> base;
@@ -325,40 +294,32 @@ TEST(FrontierBfs, RoutedHelpersAreThreadCountInvariant) {
     if (allowed[static_cast<std::size_t>(v)]) masked_base.push_back(v);
   }
 
-  const Layering serial_layers = build_layers(g, base, -1);
-  const Layering serial_restricted =
-      build_layers_restricted(g, masked_base, 6, allowed);
-  const Graph serial_power = power_graph(g, 2);
+  // Layer index = reference distance, kNoLayer = unreached (-1 both), and
+  // members list each layer in ascending id order.
+  auto expect_layering = [&](const Layering& l, const std::vector<int>& dist,
+                             const char* label) {
+    EXPECT_EQ(l.layer, dist) << label;
+    const int layers = *std::max_element(dist.begin(), dist.end()) + 1;
+    EXPECT_EQ(l.num_layers, layers) << label;
+    std::vector<std::vector<int>> members(static_cast<std::size_t>(layers));
+    for (int v = 0; v < g.num_vertices(); ++v) {
+      const int d = dist[static_cast<std::size_t>(v)];
+      if (d >= 0) members[static_cast<std::size_t>(d)].push_back(v);
+    }
+    EXPECT_EQ(l.members, members) << label;
+  };
+  expect_layering(build_layers(g, base, -1), ref_multi_source(g, base, -1).dist,
+                  "build_layers");
+  expect_layering(build_layers_restricted(g, masked_base, 6, allowed),
+                  ref_multi_source(g, masked_base, 6, allowed).dist,
+                  "build_layers_restricted");
 
+  const Graph serial_power = power_graph(g, 2);
   for (int threads : {2, 8}) {
     ThreadPool pool(threads);
-    const Layering l = build_layers(g, base, -1, &pool);
-    EXPECT_EQ(l.layer, serial_layers.layer) << threads;
-    EXPECT_EQ(l.num_layers, serial_layers.num_layers) << threads;
-    EXPECT_EQ(l.members, serial_layers.members) << threads;
-    const Layering lr =
-        build_layers_restricted(g, masked_base, 6, allowed, &pool);
-    EXPECT_EQ(lr.layer, serial_restricted.layer) << threads;
-    EXPECT_EQ(lr.members, serial_restricted.members) << threads;
     EXPECT_EQ(power_graph(g, 2, &pool).edge_list(), serial_power.edge_list())
         << threads;
   }
-}
-
-TEST(FrontierBfs, GraphRadiusPooledMatchesSerial) {
-  Rng rng(23);
-  for (const auto& [name, g] : {ZooEntry{"cycle-40", cycle_graph(40)},
-                                ZooEntry{"grid-10x4", grid_graph(10, 4, false)},
-                                ZooEntry{"regular", random_regular(500, 4, rng)}}) {
-    const int serial = graph_radius(g);
-    for (int threads : {2, 8}) {
-      ThreadPool pool(threads);
-      EXPECT_EQ(graph_radius(g, &pool), serial) << name;
-    }
-  }
-  EXPECT_EQ(graph_radius(path_graph(7)), 3);
-  EXPECT_EQ(graph_radius(cycle_graph(8)), 4);
-  EXPECT_EQ(graph_radius(clique_graph(5)), 1);
 }
 
 TEST(FrontierBfs, DecompositionPooledMatchesSerial) {
@@ -379,11 +340,10 @@ TEST(FrontierBfs, DecompositionPooledMatchesSerial) {
 TEST(FrontierBfs, EmptySourcesAndIsolatedVertices) {
   const Graph g = Graph::from_edges(5, std::vector<Edge>{{0, 1}});
   BfsScratch scratch;
-  FrontierBfs engine;
-  engine.run_multi(g, scratch, std::vector<int>{});
+  scratch.run_multi(g, std::vector<int>{});
   EXPECT_EQ(scratch.num_levels(), 0);
   EXPECT_TRUE(scratch.order().empty());
-  engine.run(g, scratch, 4);  // isolated vertex
+  scratch.run(g, 4);  // isolated vertex
   EXPECT_EQ(scratch.num_levels(), 1);
   ASSERT_EQ(scratch.order().size(), 1u);
   EXPECT_EQ(scratch.order()[0], 4);

@@ -38,6 +38,24 @@ TEST(Io, ReadRejectsBadInput) {
   EXPECT_THROW(read_edge_list(missing_header), ContractViolation);
   std::istringstream wrong_count("3 5\n0 1\n");
   EXPECT_THROW(read_edge_list(wrong_count), ContractViolation);
+  // Anything after the two numbers of a line is rejected: a junk token, a
+  // weight column ("u v w" is not silently read as unweighted), a third
+  // header field, or a suffix glued to a number.
+  for (const char* text :
+       {"4 3\n0 1 junk\n1 2\n2 3\n", "4 3\n0 1 5\n1 2 5\n2 3 5\n",
+        "4 3 99\n0 1\n1 2\n2 3\n", "3 2\n0 1x\n1 2\n",
+        "3 2\n0 1\n1 2 #note\n"}) {
+    std::istringstream in(text);
+    EXPECT_THROW(read_edge_list(in), ContractViolation) << text;
+  }
+}
+
+TEST(Io, ReadAcceptsSurroundingWhitespace) {
+  // CRLF line ends and blanks around the numbers are not trailing tokens.
+  std::istringstream in("3 2\r\n 0\t1 \r\n1 2\r\n");
+  const Graph g = read_edge_list(in);
+  EXPECT_EQ(g.num_vertices(), 3);
+  EXPECT_EQ(g.num_edges(), 2);
 }
 
 TEST(Io, DotContainsVerticesAndColors) {

@@ -6,9 +6,9 @@
 #include "coloring/linial.h"
 #include "coloring/list_coloring.h"
 #include "core/layering.h"
+#include "graph/frontier_bfs.h"
 #include "graph/generators.h"
 #include "graph/ops.h"
-#include "graph/traversal.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
 #include "util/rng.h"

@@ -1,8 +1,8 @@
 // The LOCAL-model simulator: round ledger, synchronous engine, gather oracle.
 #include <gtest/gtest.h>
 
+#include "graph/frontier_bfs.h"
 #include "graph/generators.h"
-#include "graph/traversal.h"
 #include "local/neighborhood.h"
 #include "local/round_ledger.h"
 #include "local/sync_engine.h"

@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "coloring/linial.h"
+#include "graph/frontier_bfs.h"
 #include "graph/generators.h"
-#include "graph/traversal.h"
 #include "mis/luby_sync.h"
 #include "mis/mis.h"
 #include "mis/ruling_set.h"

@@ -4,9 +4,9 @@
 #include <algorithm>
 #include <string>
 
+#include "graph/frontier_bfs.h"
 #include "graph/generators.h"
 #include "graph/ops.h"
-#include "graph/traversal.h"
 #include "util/check.h"
 #include "util/rng.h"
 

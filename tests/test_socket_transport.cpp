@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -392,6 +393,23 @@ TEST(RankLoader, StreamedSliceMatchesInMemorySlice) {
           << w.name;
     }
   }
+}
+
+TEST(RankLoader, StreamedSliceRejectsTrailingTokens) {
+  // The per-rank loader shares read_edge_list's line grammar: a weighted
+  // edge line or a third header field is malformed input, on every rank.
+  for (const char* text : {"4 3\n0 1 junk\n1 2\n2 3\n",
+                           "4 3\n0 1\n1 2 5\n2 3\n",
+                           "4 3 99\n0 1\n1 2\n2 3\n"}) {
+    for (int r = 0; r < 2; ++r) {
+      std::istringstream in(text);
+      EXPECT_THROW(load_edge_list_slice(in, 2, r), ContractViolation)
+          << text << " rank " << r;
+    }
+  }
+  std::istringstream crlf("3 2\r\n0 1\r\n1 2\r\n");
+  EXPECT_EQ(load_edge_list_slice(crlf, 1, 0).targets,
+            (std::vector<int>{1, 0, 2, 1}));
 }
 
 TEST(RankLoader, HaloAdjacencyArrivesIntactOverTheWire) {

@@ -9,10 +9,10 @@
 #include <set>
 
 #include "graph/components.h"
+#include "graph/frontier_bfs.h"
 #include "graph/generators.h"
 #include "graph/ops.h"
 #include "graph/structure.h"
-#include "graph/traversal.h"
 #include "util/rng.h"
 
 namespace deltacol {
