@@ -6,6 +6,8 @@
 // for both engines; Luby MIS rounds vs n (expect ~log n).
 #include "bench_common.h"
 
+#include <numeric>
+
 #include "coloring/linial.h"
 #include "coloring/list_coloring.h"
 #include "mis/mis.h"
@@ -28,10 +30,10 @@ void E9_Linial(benchmark::State& state) {
   state.counters["colors"] = colors;
 }
 
-ListAssignment full_lists(const Graph& g, int palette) {
-  std::vector<Color> all;
-  for (Color x = 0; x < palette; ++x) all.push_back(x);
-  return ListAssignment(static_cast<std::size_t>(g.num_vertices()), all);
+std::vector<int> all_vertices(const Graph& g) {
+  std::vector<int> all(static_cast<std::size_t>(g.num_vertices()));
+  std::iota(all.begin(), all.end(), 0);
+  return all;
 }
 
 void E9_ListColoringDet(benchmark::State& state) {
@@ -40,12 +42,13 @@ void E9_ListColoringDet(benchmark::State& state) {
   const Graph g = make_regular(n, d, 92);
   RoundLedger tmp;
   const auto lin = linial_coloring(g, tmp);
-  const auto lists = full_lists(g, d + 1);
+  const auto all = all_vertices(g);
   std::int64_t rounds = 0;
   for (auto _ : state) {
     Coloring c(static_cast<std::size_t>(n), kUncolored);
     RoundLedger ledger;
-    det_list_coloring(g, lists, lin.coloring, lin.num_colors, c, ledger, "b");
+    det_list_coloring(g, all, Palette::uniform(d + 1), lin.coloring,
+                      lin.num_colors, c, ledger, "b");
     rounds = ledger.total();
   }
   state.counters["rounds"] = static_cast<double>(rounds);
@@ -57,14 +60,14 @@ void E9_ListColoringRand(benchmark::State& state) {
   const Graph g = make_regular(n, d, 93);
   RoundLedger tmp;
   const auto lin = linial_coloring(g, tmp);
-  const auto lists = full_lists(g, d + 1);
+  const auto all = all_vertices(g);
   std::int64_t rounds = 0;
   Rng rng(3);
   for (auto _ : state) {
     Coloring c(static_cast<std::size_t>(n), kUncolored);
     RoundLedger ledger;
-    rand_list_coloring(g, lists, lin.coloring, lin.num_colors, rng, c, ledger,
-                       "b");
+    rand_list_coloring(g, all, Palette::uniform(d + 1), lin.coloring,
+                       lin.num_colors, rng, c, ledger, "b");
     rounds = ledger.total();
   }
   state.counters["rounds"] = static_cast<double>(rounds);
@@ -74,8 +77,7 @@ void E9_RulingSetDet(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int alpha = static_cast<int>(state.range(1));
   const Graph g = make_regular(n, 4, 94);
-  std::vector<int> all(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) all[static_cast<std::size_t>(v)] = v;
+  const auto all = all_vertices(g);
   std::int64_t rounds = 0;
   std::size_t size = 0;
   for (auto _ : state) {

@@ -1,6 +1,7 @@
 #include "core/api.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "coloring/linial.h"
 #include "coloring/list_coloring.h"
@@ -61,15 +62,12 @@ DeltaColoringResult attempt(const Graph& g, Algorithm alg,
   LinialResult lin;
   if (opt.list_engine == ListEngine::kRandomized) {
     const LinialResult raw = linial_coloring(g, res.ledger, pool);
-    ListAssignment lists(static_cast<std::size_t>(n));
-    for (int v = 0; v < n; ++v) {
-      for (Color x = 0; x <= delta; ++x) {
-        lists[static_cast<std::size_t>(v)].push_back(x);
-      }
-    }
+    std::vector<int> all(static_cast<std::size_t>(n));
+    std::iota(all.begin(), all.end(), 0);
     lin.coloring.assign(static_cast<std::size_t>(n), kUncolored);
-    rand_list_coloring(g, lists, raw.coloring, raw.num_colors, rng,
-                       lin.coloring, res.ledger, "schedule", pool);
+    rand_list_coloring(g, all, Palette::uniform(delta + 1), raw.coloring,
+                       raw.num_colors, rng, lin.coloring, res.ledger,
+                       "schedule", pool);
     lin.num_colors = delta + 1;
   } else {
     lin = delta_plus_one_schedule(g, res.ledger, pool);

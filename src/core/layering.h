@@ -65,17 +65,14 @@ void color_layers_in_reverse(const Graph& g, const Layering& layering,
 //
 // c and schedule are indexed like g, and every id in `vertices` must lie in
 // [0, n) (checked before any access); repeats and order do not matter. The
-// deterministic engine colors the instance in place on g: no induced
-// subgraph, no per-vertex lists. Each schedule class sweep gives each
-// member the smallest color free among its G-neighbors, which is what the
-// list "palette minus colored neighbors" yields, since uncolored vertices
-// outside the instance block nothing. It charges schedule_colors rounds.
-// The randomized engine runs on an induced copy of the instance, because
-// its clash test needs every instance vertex's proposal. Both throw
-// ContractViolation, leaving c as it was, when some instance vertex has
-// fewer free colors than instance neighbors + 1; the deterministic engine
-// also throws when an instance edge joins two vertices of one schedule
-// class, or a schedule color lies outside [0, schedule_colors).
+// instance is colored in place on g by coloring/list_coloring.h: no induced
+// subgraph, no per-vertex lists. The deterministic engine charges
+// schedule_colors rounds; the randomized engine runs trial rounds and
+// falls back to the same class sweep. Both throw ContractViolation,
+// leaving c as it was, when some instance vertex has fewer free colors
+// than instance neighbors + 1, when an instance edge joins two vertices of
+// one schedule class, or when a schedule color lies outside
+// [0, schedule_colors).
 void color_vertex_set_as_list_instance(const Graph& g,
                                        const std::vector<int>& vertices,
                                        int delta, const Coloring& schedule,

@@ -1,5 +1,6 @@
 #include "graph/io.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <fstream>
@@ -49,7 +50,10 @@ std::pair<std::int64_t, std::int64_t> parse_two_integers(std::string_view line,
 }  // namespace
 
 EdgeListParser::Line EdgeListParser::parse(std::string_view line) {
-  if (line.empty() || line[0] == '#') return Line::kSkip;
+  const bool blank = std::all_of(line.begin(), line.end(), [](char ch) {
+    return std::isspace(static_cast<unsigned char>(ch)) != 0;
+  });
+  if (blank || line[0] == '#') return Line::kSkip;
   if (n_ < 0) {
     const auto [n, m] = parse_two_integers(line, "bad edge-list header");
     DC_REQUIRE(n >= 0 && m >= 0, "negative counts in header");

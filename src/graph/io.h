@@ -18,10 +18,11 @@ namespace deltacol {
 //   n m
 //   u1 v1
 //   ...
-// Lines starting with '#' are comments. Vertices are 0-based. A header or
-// edge line is exactly two integers, separated and optionally surrounded by
-// whitespace (a trailing '\r' included); anything else on the line — a
-// weight column, say — is rejected with ContractViolation.
+// Lines starting with '#' are comments, and lines of only whitespace (a
+// lone '\r' of a CRLF file included) are blank. Vertices are 0-based. A
+// header or edge line is exactly two integers, separated and optionally
+// surrounded by whitespace (a trailing '\r' included); anything else on the
+// line — a weight column, say — is rejected with ContractViolation.
 void write_edge_list(std::ostream& out, const Graph& g);
 Graph read_edge_list(std::istream& in);
 
@@ -31,7 +32,7 @@ class EdgeListParser {
  public:
   enum class Line { kSkip, kHeader, kEdge };
 
-  // Parses one line (without its '\n'): kSkip for an empty or '#' line,
+  // Parses one line (without its '\n'): kSkip for a blank or '#' line,
   // kHeader for the first other line ("n m", both non-negative, n fits an
   // int), kEdge for every later one ("u v", 0 <= u, v < n, u != v). Throws
   // ContractViolation on a malformed line.

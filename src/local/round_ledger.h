@@ -5,7 +5,8 @@
 /// number of synchronous communication rounds each step would take on a real
 /// network. Two execution styles feed the same ledger:
 ///
-///  1. Message-passing style (SyncEngine): each executed round charges 1.
+///  1. Message-passing style (ParallelSyncEngine): each executed round
+///     charges 1.
 ///  2. Neighborhood-gathering style: in the LOCAL model a t-round algorithm
 ///     is exactly a function of each node's t-neighborhood, so a step
 ///     implemented centrally as "every node inspects its r-ball and decides"

@@ -1,7 +1,7 @@
 // Luby's MIS implemented literally on the synchronous message-passing
-// engine (SyncEngine): every round each active node draws a priority, sends
-// it to its neighbors, and joins when it holds the local minimum; joiners
-// then notify neighbors, which deactivate.
+// engine (ParallelSyncEngine): every round each active node draws a
+// priority, sends it to its neighbors, and joins when it holds the local
+// minimum; joiners then notify neighbors, which deactivate.
 //
 // Functionally equivalent to mis/luby_mis (which runs the same logic over
 // shared arrays and charges the same rounds); this version exists to pin

@@ -3,7 +3,7 @@
 /// CONGEST mode (DESIGN.md §6, "CONGEST accounting").
 ///
 /// `MessageSize<Msg>` answers one question: how many bits would `msg` occupy
-/// on a real link? Every message type that flows through a `SyncEngine`,
+/// on a real link? Every message type that flows through a
 /// `ParallelSyncEngine` or `Mailbox` must specialize it — the primary
 /// template is deliberately left undefined, so an unregistered message type
 /// is a compile error, never a silent under-charge. The registered sizes are

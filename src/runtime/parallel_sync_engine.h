@@ -1,9 +1,10 @@
 /// \file
 /// Multi-threaded, shard-ready synchronous message-passing engine.
 ///
-/// Same execution model as local/sync_engine.h, and the same callback types,
-/// so one lambda pair drives both engines: one synchronous LOCAL round = all
-/// nodes send, all messages delivered, all nodes receive, 1 round charged.
+/// The library's one message-passing engine. One synchronous LOCAL round =
+/// all nodes send, all messages delivered, all nodes receive, 1 round
+/// charged. The tests keep a naive serial engine with the same callback
+/// types (tests/sync_engine.h) as the reference for inbox order.
 /// Every path delivers a round's messages the same way: into one flat
 /// **inbox arena** the engine owns and reuses across rounds. A counting pass
 /// over destinations sizes every inbox, a prefix sum lays them out, and a

@@ -1,4 +1,6 @@
-// Synchronous message-passing execution for LOCAL-model algorithms.
+// The naive inbox-order reference for ParallelSyncEngine
+// (runtime/parallel_sync_engine.h). It is test code: no algorithm in the
+// library runs on it.
 //
 // A SyncEngine holds per-node state and executes synchronous rounds: first
 // every node produces messages for its neighbors from its current state,
@@ -23,11 +25,6 @@
 // flat arena, sorted by construction with a stable sort only for
 // out-of-order inboxes, is checked against this independent reference
 // (tests/test_runtime.cpp, tests/test_mailbox.cpp).
-//
-// Algorithms that are naturally per-node (Luby's MIS, trial list coloring,
-// Linial's coloring) run through this engine; structural steps with large
-// radii use NeighborhoodOracle instead (see round_ledger.h for why both are
-// faithful).
 #pragma once
 
 #include <algorithm>

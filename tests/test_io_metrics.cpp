@@ -56,6 +56,12 @@ TEST(Io, ReadAcceptsSurroundingWhitespace) {
   const Graph g = read_edge_list(in);
   EXPECT_EQ(g.num_vertices(), 3);
   EXPECT_EQ(g.num_edges(), 2);
+  // A blank line of a CRLF file is a lone '\r'; whitespace-only lines are
+  // blank wherever they stand.
+  std::istringstream blanks("\r\n3 2\r\n0 1\r\n\r\n \t\r\n1 2\r\n\r\n");
+  const Graph h = read_edge_list(blanks);
+  EXPECT_EQ(h.num_vertices(), 3);
+  EXPECT_EQ(h.num_edges(), 2);
 }
 
 TEST(Io, DotContainsVerticesAndColors) {

@@ -4,11 +4,10 @@
 #include <algorithm>
 
 #include "coloring/linial.h"
-#include "coloring/list_coloring.h"
 #include "core/layering.h"
 #include "graph/frontier_bfs.h"
 #include "graph/generators.h"
-#include "graph/ops.h"
+#include "list_coloring_reference.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -122,44 +121,17 @@ TEST(LayerColoring, VertexSetInstanceSkipsColored) {
   EXPECT_TRUE(is_proper_complete(g, c));
 }
 
-// The deterministic engine as it ran on an induced copy of the instance,
-// kept as the oracle for the in-place engine: lists are the palette minus
-// colored neighbors, det_list_coloring sweeps the schedule classes.
-void reference_instance(const Graph& g, const std::vector<int>& vertices,
-                        int delta, const Coloring& schedule,
-                        int schedule_colors, Coloring& c,
-                        RoundLedger& ledger) {
-  std::vector<int> todo;
-  for (int v : vertices) {
-    if (c[static_cast<std::size_t>(v)] == kUncolored) todo.push_back(v);
-  }
-  if (todo.empty()) return;
-  const auto sub = induced_subgraph(g, todo);
-  const int k = sub.graph.num_vertices();
-  ListAssignment lists(static_cast<std::size_t>(k));
-  Coloring sub_schedule(static_cast<std::size_t>(k));
-  for (int i = 0; i < k; ++i) {
-    const int p = sub.to_parent[static_cast<std::size_t>(i)];
-    lists[static_cast<std::size_t>(i)] = free_colors(g, c, p, delta);
-    sub_schedule[static_cast<std::size_t>(i)] =
-        schedule[static_cast<std::size_t>(p)];
-  }
-  ASSERT_TRUE(lists_have_deg_plus_one(sub.graph, lists));
-  Coloring sub_c(static_cast<std::size_t>(k), kUncolored);
-  det_list_coloring(sub.graph, lists, sub_schedule, schedule_colors, sub_c,
-                    ledger, "t");
-  for (int i = 0; i < k; ++i) {
-    c[static_cast<std::size_t>(sub.to_parent[static_cast<std::size_t>(i)])] =
-        sub_c[static_cast<std::size_t>(i)];
-  }
-}
+// Random instances over a random partial coloring, each engine against
+// its explicit-list engine on the induced copy (list_coloring_reference.h),
+// with the same Rng seed: with palette max degree + 1 every instance is
+// (deg+1) whatever the outside colors are, so the pre-colored vertices may
+// even clash. The sparse graphs are large enough that the entry check, the
+// class sweeps and the trial passes take their pooled paths; the
+// circulant's palette above 64 takes the multi-word free-color scans.
+class ListInstanceEngine : public ::testing::TestWithParam<ListEngine> {};
 
-// Random instances over a random partial coloring: with palette
-// max degree + 1 every instance is (deg+1) whatever the outside colors are,
-// so the pre-colored vertices may even clash. The sparse graphs are large
-// enough that the entry check and the class sweeps take their pooled paths;
-// the circulant's palette above 64 takes the multi-word free-color count.
-TEST(ListInstance, InPlaceMatchesInducedReference) {
+TEST_P(ListInstanceEngine, InPlaceMatchesInducedReference) {
+  const ListEngine engine = GetParam();
   ThreadPool pool(4);
   for (int d : {4, 7, 80}) {
     for (std::uint64_t seed : {1u, 2u, 3u}) {
@@ -185,20 +157,32 @@ TEST(ListInstance, InPlaceMatchesInducedReference) {
       }
       Coloring want = start;
       RoundLedger want_ledger;
-      reference_instance(g, vertices, delta, lin.coloring, lin.num_colors,
-                         want, want_ledger);
+      Rng want_rng(seed + 100);
+      reference::reference_instance(g, vertices, delta, lin.coloring,
+                                    lin.num_colors, engine, &want_rng, want,
+                                    want_ledger);
+      // The next draw after the run: equal iff the streams were consumed
+      // alike.
+      const std::uint64_t want_next = want_rng.next_u64();
       for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
         Coloring got = start;
         RoundLedger got_ledger;
-        color_vertex_set_as_list_instance(
-            g, vertices, delta, lin.coloring, lin.num_colors,
-            ListEngine::kDeterministic, nullptr, got, got_ledger, "t", p);
+        Rng got_rng(seed + 100);
+        color_vertex_set_as_list_instance(g, vertices, delta, lin.coloring,
+                                          lin.num_colors, engine, &got_rng,
+                                          got, got_ledger, "t", p);
         EXPECT_EQ(got, want) << "d=" << d << " seed=" << seed;
         EXPECT_EQ(got_ledger.total(), want_ledger.total());
+        EXPECT_EQ(got_rng.next_u64(), want_next)
+            << "d=" << d << " seed=" << seed;
       }
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Engines, ListInstanceEngine,
+                         ::testing::Values(ListEngine::kDeterministic,
+                                           ListEngine::kRandomized));
 
 TEST(ListInstance, OutOfRangeVertexThrowsBeforeAnyWrite) {
   const Graph g = cycle_graph(6);
@@ -314,25 +298,32 @@ TEST(ListInstance, ImproperScheduleThrowsAndLeavesCUntouched) {
   const Coloring clash{0, 1, 1, 0};
   // A schedule color outside [0, schedule_colors).
   const Coloring out_of_palette{0, 1, 2, 0};
-  for (const Coloring* schedule : {&clash, &out_of_palette}) {
-    Coloring c(4, kUncolored);
+  for (ListEngine engine : {ListEngine::kDeterministic, ListEngine::kRandomized}) {
+    for (const Coloring* schedule : {&clash, &out_of_palette}) {
+      Coloring c(4, kUncolored);
+      RoundLedger ledger;
+      Rng rng(1);
+      EXPECT_THROW(color_vertex_set_as_list_instance(g, {0, 1, 2, 3}, 3,
+                                                     *schedule, 2, engine,
+                                                     &rng, c, ledger, "t"),
+                   ContractViolation);
+      EXPECT_EQ(c, Coloring(4, kUncolored));
+      EXPECT_EQ(ledger.total(), 0);
+    }
+    // A class clash across the instance boundary is harmless: vertex 2 is
+    // colored already, so the instance {0, 1} has no edge inside one class.
+    Coloring c{kUncolored, kUncolored, 2, kUncolored};
     RoundLedger ledger;
-    EXPECT_THROW(color_vertex_set_as_list_instance(
-                     g, {0, 1, 2, 3}, 3, *schedule, 2,
-                     ListEngine::kDeterministic, nullptr, c, ledger, "t"),
-                 ContractViolation);
-    EXPECT_EQ(c, Coloring(4, kUncolored));
-    EXPECT_EQ(ledger.total(), 0);
+    Rng rng(1);
+    color_vertex_set_as_list_instance(g, {0, 1}, 3, clash, 2, engine, &rng, c,
+                                      ledger, "t");
+    EXPECT_TRUE(is_proper_partial(g, c));
+    EXPECT_NE(c[0], kUncolored);
+    EXPECT_NE(c[1], kUncolored);
+    if (engine == ListEngine::kDeterministic) {
+      EXPECT_EQ(ledger.total(), 2);
+    }
   }
-  // A class clash across the instance boundary is harmless: vertex 2 is
-  // colored already, so the instance {0, 1} has no edge inside one class.
-  Coloring c{kUncolored, kUncolored, 2, kUncolored};
-  RoundLedger ledger;
-  color_vertex_set_as_list_instance(g, {0, 1}, 3, clash, 2,
-                                    ListEngine::kDeterministic, nullptr, c,
-                                    ledger, "t");
-  EXPECT_TRUE(is_proper_partial(g, c));
-  EXPECT_EQ(ledger.total(), 2);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 #include "graph/generators.h"
 #include "local/neighborhood.h"
 #include "local/round_ledger.h"
-#include "local/sync_engine.h"
+#include "runtime/parallel_sync_engine.h"
 #include "util/check.h"
 
 namespace deltacol {
@@ -45,25 +45,27 @@ TEST(RoundLedger, ReportMentionsPhases) {
   EXPECT_NE(rep.find("5"), std::string::npos);
 }
 
-// A flood-fill over the SyncEngine must compute BFS distances in exactly
-// eccentricity(source) rounds — the definitional LOCAL-model behavior.
-TEST(SyncEngine, FloodFillMatchesBfs) {
+// A flood-fill over the message-passing engine must compute BFS distances
+// in exactly eccentricity(source) rounds — the definitional LOCAL-model
+// behavior.
+TEST(ParallelSyncEngine, FloodFillMatchesBfs) {
   const Graph g = grid_graph(5, 6, false);
   struct State {
     int dist = -1;
   };
   const int rounds = eccentricity(g, 0);
+  using Engine = ParallelSyncEngine<State, int>;
   RoundLedger ledger2;
-  SyncEngine<State, int> eng2(g, ledger2, "flood");
+  Engine eng2(g, ledger2, "flood");
   eng2.state(0).dist = 0;
   for (int t = 0; t < rounds; ++t) {
     eng2.round(
-        [&g](int v, const State& s, SyncEngine<State, int>::Outbox& out) {
+        [&g](int v, const State& s, Engine::Outbox& out) {
           if (s.dist >= 0) {
             for (int u : g.neighbors(v)) out.emplace_back(u, s.dist + 1);
           }
         },
-        [](int, State& s, SyncEngine<State, int>::Inbox inbox) {
+        [](int, State& s, Engine::Inbox inbox) {
           for (const auto& [from, d] : inbox) {
             if (s.dist < 0 || d < s.dist) s.dist = d;
           }
@@ -76,16 +78,16 @@ TEST(SyncEngine, FloodFillMatchesBfs) {
   EXPECT_EQ(ledger2.total(), rounds);
 }
 
-TEST(SyncEngine, RejectsNonNeighborMessages) {
+TEST(ParallelSyncEngine, RejectsNonNeighborMessages) {
   const Graph g = path_graph(4);
   RoundLedger ledger;
-  SyncEngine<int, int> eng(g, ledger, "bad");
+  ParallelSyncEngine<int, int> eng(g, ledger, "bad");
   EXPECT_THROW(
       eng.round(
-          [](int v, const int&, SyncEngine<int, int>::Outbox& out) {
+          [](int v, const int&, ParallelSyncEngine<int, int>::Outbox& out) {
             if (v == 0) out.emplace_back(3, 42);  // 3 is not a neighbor of 0
           },
-          [](int, int&, SyncEngine<int, int>::Inbox) {}),
+          [](int, int&, ParallelSyncEngine<int, int>::Inbox) {}),
       ContractViolation);
 }
 

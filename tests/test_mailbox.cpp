@@ -19,13 +19,13 @@
 #include "graph/partition.h"
 #include "graph/renumber.h"
 #include "local/round_ledger.h"
-#include "local/sync_engine.h"
 #include "mis/luby_sync.h"
 #include "mis/mis.h"
 #include "net/socket_transport.h"
 #include "runtime/mailbox.h"
 #include "runtime/parallel_sync_engine.h"
 #include "runtime/thread_pool.h"
+#include "sync_engine.h"
 #include "util/rng.h"
 
 namespace deltacol {

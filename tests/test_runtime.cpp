@@ -2,7 +2,7 @@
 // (chunked execution, nesting, exception propagation, empty regions, the
 // thread-count ceiling), the ComponentScheduler's max-charging and exception
 // contract, and bit-for-bit equivalence of ParallelSyncEngine with the
-// serial SyncEngine.
+// naive serial reference engine (tests/sync_engine.h).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,12 +16,12 @@
 
 #include "graph/generators.h"
 #include "local/round_ledger.h"
-#include "local/sync_engine.h"
 #include "mis/luby_sync.h"
 #include "mis/mis.h"
 #include "runtime/component_scheduler.h"
 #include "runtime/mailbox.h"
 #include "runtime/parallel_sync_engine.h"
+#include "sync_engine.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -133,15 +133,14 @@ TEST(ThreadPool, ResolveNumThreadsRejectsRequestsAboveTheCeiling) {
 }
 
 // The engine-level determinism pin: the same per-node algorithm driven by
-// the serial SyncEngine and by ParallelSyncEngine at several thread counts
-// must produce identical results, message orders included (the inboxes are
+// ParallelSyncEngine without a pool and at several thread counts must
+// produce identical results, message orders included (the inboxes are
 // sorted the same way, so every receive sees identical input).
 TEST(ParallelSyncEngine, BitIdenticalToSerialEngineOnLuby) {
   Rng grng(123);
   const Graph g = random_regular(600, 6, grng);
 
-  // Reference: the serial engine (local/sync_engine.h), via the message-
-  // passing Luby that predates the runtime.
+  // Reference: the message-passing Luby on the engine without a pool.
   const auto run_serial = [&]() {
     Rng rng(99);
     RoundLedger ledger;
@@ -180,8 +179,8 @@ TEST(ParallelSyncEngine, BitIdenticalToSerialEngineOnLuby) {
   }
 }
 
-// Cross-check against the historical serial engine type directly: the
-// library keeps SyncEngine as the executable reference semantics.
+// Cross-check against the naive serial engine (tests/sync_engine.h), the
+// executable reference semantics.
 TEST(ParallelSyncEngine, MatchesSyncEngineRoundForRound) {
   Rng grng(5);
   const Graph g = random_regular(200, 4, grng);

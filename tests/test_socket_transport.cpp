@@ -410,6 +410,14 @@ TEST(RankLoader, StreamedSliceRejectsTrailingTokens) {
   std::istringstream crlf("3 2\r\n0 1\r\n1 2\r\n");
   EXPECT_EQ(load_edge_list_slice(crlf, 1, 0).targets,
             (std::vector<int>{1, 0, 2, 1}));
+  // Blank CRLF lines (a lone '\r') and whitespace-only lines are skipped.
+  for (int r = 0; r < 2; ++r) {
+    std::istringstream blanks("3 2\r\n\r\n0 1\r\n \r\n1 2\r\n\r\n");
+    std::istringstream plain("3 2\n0 1\n1 2\n");
+    EXPECT_EQ(load_edge_list_slice(blanks, 2, r).targets,
+              load_edge_list_slice(plain, 2, r).targets)
+        << "rank " << r;
+  }
 }
 
 TEST(RankLoader, HaloAdjacencyArrivesIntactOverTheWire) {
