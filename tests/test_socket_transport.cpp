@@ -17,7 +17,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <chrono>
 #include <cstdlib>
+#include <future>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -28,6 +32,7 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "graph/partition.h"
+#include "graph/renumber.h"
 #include "local/round_ledger.h"
 #include "mis/luby_sync.h"
 #include "net/frame.h"
@@ -71,6 +76,25 @@ loopback_pair() {
   auto t1 = std::make_unique<SocketTransport>(1, 2, std::vector<int>{fds.b, -1});
   fds.a = fds.b = -1;
   return {std::move(t0), std::move(t1)};
+}
+
+// A full mesh of `world` pre-connected rank transports over socketpairs.
+std::vector<std::unique_ptr<SocketTransport>> socket_mesh(int world) {
+  std::vector<std::vector<int>> fds(static_cast<std::size_t>(world),
+                                    std::vector<int>(world, -1));
+  for (int a = 0; a < world; ++a) {
+    for (int b = a + 1; b < world; ++b) {
+      const FdPair p;
+      fds[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] = p.a;
+      fds[static_cast<std::size_t>(b)][static_cast<std::size_t>(a)] = p.b;
+    }
+  }
+  std::vector<std::unique_ptr<SocketTransport>> mesh;
+  for (int r = 0; r < world; ++r) {
+    mesh.push_back(std::make_unique<SocketTransport>(
+        r, world, std::move(fds[static_cast<std::size_t>(r)])));
+  }
+  return mesh;
 }
 
 // Runs rank bodies concurrently (each body gets its rank id) and rethrows
@@ -504,6 +528,219 @@ TEST(SocketTransport, ExchangeOwnedMovesOnlyOffDiagonalSlots) {
   bad[0] = {1};
   EXPECT_THROW(t0->exchange_owned(std::move(bad), {0, 0}, {0, 0}),
                ContractViolation);
+}
+
+// --- the small collectives and their wire format --------------------------
+
+// allreduce_sum / allreduce_max over 3 ranks give the same, exact result on
+// every rank, including at the ends of the i64 range.
+TEST(SocketTransport, AllreduceAgreesOnEveryRank) {
+  constexpr int kWorld = 3;
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  struct Case {
+    std::array<std::int64_t, kWorld> in;  // rank r contributes in[r]
+    std::int64_t sum;
+    std::int64_t max;
+  };
+  const Case cases[] = {
+      {{kMax - 10, -7, 3}, kMax - 14, kMax - 10},
+      {{kMin + 6, -5, -1}, kMin, -1},
+      {{kMin, 0, 0}, kMin, 0},
+      {{kMax, kMin, 0}, -1, kMax},
+      {{-1, -1, -1}, -3, -1},
+      {{0, 0, 0}, 0, 0},
+  };
+  auto mesh = socket_mesh(kWorld);
+  for (const Case& c : cases) {
+    std::array<std::int64_t, kWorld> sums{};
+    std::array<std::int64_t, kWorld> maxes{};
+    run_ranks(kWorld, [&](int r) {
+      SocketTransport& t = *mesh[static_cast<std::size_t>(r)];
+      const std::int64_t mine = c.in[static_cast<std::size_t>(r)];
+      sums[static_cast<std::size_t>(r)] = t.allreduce_sum(mine);
+      maxes[static_cast<std::size_t>(r)] = t.allreduce_max(mine);
+    });
+    for (int r = 0; r < kWorld; ++r) {
+      EXPECT_EQ(sums[static_cast<std::size_t>(r)], c.sum) << "rank " << r;
+      EXPECT_EQ(maxes[static_cast<std::size_t>(r)], c.max) << "rank " << r;
+    }
+  }
+}
+
+// gather_colors reassembles the whole array on every rank from the owned
+// entries alone, under both partition strategies (the cluster partition's
+// owned vertices are not a contiguous id range). -1 and the int extremes
+// survive the u32 wire encoding.
+TEST(SocketTransport, GatherColorsAgreesOnEveryRank) {
+  constexpr int kWorld = 3;
+  const Graph g = generator_zoo_graph("regular-500-6");
+  const int n = g.num_vertices();
+  std::vector<int> expect(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) {
+    expect[static_cast<std::size_t>(v)] = v % 7 == 0 ? -1 : 37 * v - 9000;
+  }
+  expect[1] = std::numeric_limits<int>::min();
+  expect[2] = std::numeric_limits<int>::max();
+  for (PartitionStrategy strategy :
+       {PartitionStrategy::kContiguous, PartitionStrategy::kCluster}) {
+    const VertexPartition part = make_partition(g, kWorld, strategy);
+    auto mesh = socket_mesh(kWorld);
+    std::vector<std::vector<int>> got(kWorld);
+    run_ranks(kWorld, [&](int r) {
+      // Only the owned entries are right before the gather.
+      std::vector<int> values(static_cast<std::size_t>(n), 123456);
+      for (int i = 0; i < part.size(r); ++i) {
+        const auto v = static_cast<std::size_t>(part.owned_vertex(r, i));
+        values[v] = expect[v];
+      }
+      mesh[static_cast<std::size_t>(r)]->gather_colors(part, values);
+      got[static_cast<std::size_t>(r)] = std::move(values);
+    });
+    for (int r = 0; r < kWorld; ++r) {
+      EXPECT_EQ(got[static_cast<std::size_t>(r)], expect)
+          << partition_strategy_name(strategy) << " rank " << r;
+    }
+  }
+}
+
+// The bytes and frames one call puts on the wire, in closed form (the 4-byte
+// frame prefix included). Every collective sends exactly one frame to each
+// peer; these pin the frame layouts against any change.
+TEST(SocketTransport, CollectiveWireBytesMatchClosedForms) {
+  constexpr int kWorld = 3;
+  constexpr std::int64_t kPeers = kWorld - 1;
+  const VertexPartition part = VertexPartition::contiguous(10, kWorld);
+  auto mesh = socket_mesh(kWorld);
+  struct Delta {
+    std::int64_t sent = 0;
+    std::int64_t received = 0;
+    std::int64_t frames = 0;
+    std::int64_t payload = 0;
+  };
+  // Runs `call(rank, transport)` on every rank; returns each rank's deltas.
+  const auto measure = [&](const auto& call) {
+    std::vector<Delta> d(kWorld);
+    run_ranks(kWorld, [&](int r) {
+      SocketTransport& t = *mesh[static_cast<std::size_t>(r)];
+      Delta& out = d[static_cast<std::size_t>(r)];
+      out = {-t.wire_bytes_sent(), -t.wire_bytes_received(), -t.frames_sent(),
+             -t.cross_payload_bytes()};
+      call(r, t);
+      out.sent += t.wire_bytes_sent();
+      out.received += t.wire_bytes_received();
+      out.frames += t.frames_sent();
+      out.payload += t.cross_payload_bytes();
+    });
+    return d;
+  };
+  // `per_peer(s)` is the size of the frame rank s sends to each peer.
+  const auto expect_deltas = [&](const std::vector<Delta>& d,
+                                 const auto& per_peer, const char* what) {
+    std::int64_t all = 0;
+    for (int s = 0; s < kWorld; ++s) all += per_peer(s);
+    for (int r = 0; r < kWorld; ++r) {
+      const Delta& x = d[static_cast<std::size_t>(r)];
+      EXPECT_EQ(x.sent, kPeers * per_peer(r)) << what << " rank " << r;
+      EXPECT_EQ(x.received, all - per_peer(r)) << what << " rank " << r;
+      EXPECT_EQ(x.frames, kPeers) << what << " rank " << r;
+    }
+  };
+
+  // reduce: tag, sender, seq, u64 value — 24 B per peer.
+  const auto reduce = [](int) { return std::int64_t{24}; };
+  expect_deltas(measure([](int r, SocketTransport& t) { t.allreduce_sum(r); }),
+                reduce, "allreduce_sum");
+  expect_deltas(measure([](int r, SocketTransport& t) { t.allreduce_max(r); }),
+                reduce, "allreduce_max");
+
+  // gather: tag, sender, seq, u32 count, count x u32 — 20 + 4*owned B.
+  expect_deltas(measure([&](int, SocketTransport& t) {
+                  std::vector<int> values(10, 0);
+                  t.gather_colors(part, values);
+                }),
+                [&](int s) { return 20 + 4 * std::int64_t{part.size(s)}; },
+                "gather_colors");
+
+  // all-gather: sender, seq, slot count, per slot u32 length + bytes —
+  // 16 + sum(4 + len) B. Rank r's slot d carries r + 2d bytes.
+  const auto slot_len = [](int r, int d) { return r + 2 * d; };
+  const auto gather_row_bytes = [&](int s) {
+    std::int64_t b = 16;
+    for (int d = 0; d < kWorld; ++d) b += 4 + slot_len(s, d);
+    return b;
+  };
+  expect_deltas(measure([&](int r, SocketTransport& t) {
+                  std::vector<WireBuf> row(kWorld);
+                  for (int d = 0; d < kWorld; ++d) {
+                    row[static_cast<std::size_t>(d)].assign(
+                        static_cast<std::size_t>(slot_len(r, d)),
+                        static_cast<std::uint8_t>(r));
+                  }
+                  t.all_gather_rows(std::move(row));
+                }),
+                gather_row_bytes, "all_gather_rows");
+  // barrier: an all-gather of empty slots — 16 + 4*world B.
+  expect_deltas(measure([](int, SocketTransport& t) { t.barrier(); }),
+                [](int) { return std::int64_t{16 + 4 * kWorld}; }, "barrier");
+
+  // owned: tag, sender, seq, dest, world, 2*world x u64 tallies, u32 slot
+  // length + slot — 28 + 16*world + len B. Rank r's slot to d carries r + 2d
+  // bytes, all of it cross payload.
+  const auto d_owned = measure([&](int r, SocketTransport& t) {
+    std::vector<WireBuf> to_peers(kWorld);
+    for (int d = 0; d < kWorld; ++d) {
+      if (d == r) continue;
+      to_peers[static_cast<std::size_t>(d)].assign(
+          static_cast<std::size_t>(slot_len(r, d)), 7);
+    }
+    t.exchange_owned(std::move(to_peers), std::vector<std::int64_t>(kWorld, 1),
+                     std::vector<std::int64_t>(kWorld, 2));
+  });
+  for (int r = 0; r < kWorld; ++r) {
+    std::int64_t sent = 0;
+    std::int64_t received = 0;
+    std::int64_t payload = 0;
+    for (int p = 0; p < kWorld; ++p) {
+      if (p == r) continue;
+      sent += 28 + 16 * kWorld + slot_len(r, p);
+      received += 28 + 16 * kWorld + slot_len(p, r);
+      payload += slot_len(r, p);
+    }
+    const Delta& x = d_owned[static_cast<std::size_t>(r)];
+    EXPECT_EQ(x.sent, sent) << "exchange_owned rank " << r;
+    EXPECT_EQ(x.received, received) << "exchange_owned rank " << r;
+    EXPECT_EQ(x.frames, kPeers) << "exchange_owned rank " << r;
+    EXPECT_EQ(x.payload, payload) << "exchange_owned rank " << r;
+  }
+}
+
+// Ranks whose collectives run out of step fail loudly on both sides, each
+// naming the other rank — never a hang, never a merged foreign frame. The
+// timeout only turns an unexpected hang into a failure here.
+TEST(SocketTransport, MismatchedCollectivesNameThePeer) {
+  EnvGuard guard("DELTACOL_NET_TIMEOUT_MS", "5000");
+  auto [t0, t1] = loopback_pair();
+  const VertexPartition part = VertexPartition::contiguous(10, 2);
+  std::array<std::string, 2> errors;
+  run_ranks(2, [&](int r) {
+    try {
+      if (r == 0) {
+        t0->allreduce_sum(5);
+      } else {
+        std::vector<int> values(10, 3);
+        t1->gather_colors(part, values);
+      }
+    } catch (const WireError& e) {
+      errors[static_cast<std::size_t>(r)] = e.what();
+    }
+  });
+  for (int r = 0; r < 2; ++r) {
+    const std::string& what = errors[static_cast<std::size_t>(r)];
+    EXPECT_NE(what.find("rank " + std::to_string(1 - r)), std::string::npos)
+        << "rank " << r << ": '" << what << "'";
+    EXPECT_EQ(what.find("timed out"), std::string::npos) << what;
+  }
 }
 
 // --- multi-machine hardening (DELTACOL_NET_TIMEOUT_MS) ---------------------
