@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include <poll.h>
@@ -13,26 +14,62 @@ namespace deltacol {
 
 namespace {
 
-using Deadline = std::chrono::steady_clock::time_point;
+using Deadline = std::optional<std::chrono::steady_clock::time_point>;
 
 [[noreturn]] void io_fail(const char* what) {
   throw WireError(std::string(what) + ": " + std::strerror(errno));
 }
 
-// write(2) raises SIGPIPE (fatal by default) when the peer has gone; send(2)
-// with MSG_NOSIGNAL turns that into EPIPE, which we surface as WireError.
-// Non-socket fds (the framing tests run over pipes too) fall back to write.
-std::ptrdiff_t write_some(int fd, const std::uint8_t* data, std::size_t n) {
-  std::ptrdiff_t w = ::send(fd, data, n, MSG_NOSIGNAL);
-  if (w < 0 && errno == ENOTSOCK) w = ::write(fd, data, n);
-  return w;
+// A deadline `timeout_ms` from now; none (wait forever) when <= 0.
+Deadline deadline_after(int timeout_ms) {
+  if (timeout_ms <= 0) return std::nullopt;
+  return std::chrono::steady_clock::now() +
+         std::chrono::milliseconds(timeout_ms);
 }
 
-void write_all(int fd, const std::uint8_t* data, std::size_t n) {
+// Blocks until `fd` is ready for `events` (POLLIN / POLLOUT) or `deadline`
+// passes; throws WireError(`expired`) on an expired deadline. No deadline
+// waits forever.
+void wait_ready(int fd, short events, const Deadline& deadline,
+                const char* expired) {
+  for (;;) {
+    int wait_ms = -1;
+    if (deadline) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          *deadline - std::chrono::steady_clock::now());
+      if (left.count() <= 0) throw WireError(expired);
+      wait_ms = static_cast<int>(left.count());
+    }
+    pollfd p{};
+    p.fd = fd;
+    p.events = events;
+    const int rv = ::poll(&p, 1, wait_ms);
+    if (rv > 0) return;  // ready (or HUP/ERR — the I/O call will surface it)
+    if (rv < 0 && errno != EINTR) io_fail("frame poll failed");
+    // rv == 0 (poll timeout) loops back to re-check the deadline and throw.
+  }
+}
+
+// write(2) raises SIGPIPE (fatal by default) when the peer has gone; send(2)
+// with MSG_NOSIGNAL turns that into EPIPE, which we surface as WireError.
+// Under a deadline every send is non-blocking and only an EAGAIN waits, in
+// poll(2) — so a peer that stopped reading cannot block this thread past
+// the deadline, and a send that fits the socket buffer costs no extra
+// syscall. Non-socket fds (the framing tests run over pipes too) fall back
+// to a blocking write.
+void write_all(int fd, const std::uint8_t* data, std::size_t n,
+               const Deadline& deadline) {
+  const int flags = MSG_NOSIGNAL | (deadline ? MSG_DONTWAIT : 0);
   while (n > 0) {
-    const std::ptrdiff_t w = write_some(fd, data, n);
+    std::ptrdiff_t w = ::send(fd, data, n, flags);
+    if (w < 0 && errno == ENOTSOCK) w = ::write(fd, data, n);
     if (w < 0) {
       if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        wait_ready(fd, POLLOUT, deadline,
+                   "frame write timed out: peer stopped reading");
+        continue;
+      }
       io_fail("frame write failed");
     }
     data += w;
@@ -40,39 +77,17 @@ void write_all(int fd, const std::uint8_t* data, std::size_t n) {
   }
 }
 
-// Blocks until `fd` is readable or `deadline` passes; throws WireError on
-// an expired deadline (the peer went silent mid-frame). A null deadline
-// waits forever — the original behavior.
-void wait_readable(int fd, const Deadline* deadline) {
-  for (;;) {
-    int wait_ms = -1;
-    if (deadline != nullptr) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          *deadline - std::chrono::steady_clock::now());
-      if (left.count() <= 0) {
-        throw WireError("frame read timed out: peer went silent");
-      }
-      wait_ms = static_cast<int>(left.count());
-    }
-    pollfd p{};
-    p.fd = fd;
-    p.events = POLLIN;
-    const int rv = ::poll(&p, 1, wait_ms);
-    if (rv > 0) return;  // readable (or HUP/ERR — the read will surface it)
-    if (rv < 0 && errno != EINTR) io_fail("frame poll failed");
-    // rv == 0 (poll timeout) loops back to re-check the deadline and throw.
-  }
-}
-
 // Returns bytes read into [data, data+n); stops early only on EOF. Loops
 // over short reads and EINTR — the segmentation a stream socket delivers is
-// never visible above this function. A non-null `deadline` bounds every
-// wait (see wait_readable).
+// never visible above this function. A `deadline` bounds every wait (see
+// wait_ready).
 std::size_t read_upto(int fd, std::uint8_t* data, std::size_t n,
-                      const Deadline* deadline) {
+                      const Deadline& deadline) {
   std::size_t got = 0;
   while (got < n) {
-    if (deadline != nullptr) wait_readable(fd, deadline);
+    if (deadline) {
+      wait_ready(fd, POLLIN, deadline, "frame read timed out: peer went silent");
+    }
     const std::ptrdiff_t r = ::read(fd, data + got, n - got);
     if (r < 0) {
       if (errno == EINTR) continue;
@@ -86,25 +101,20 @@ std::size_t read_upto(int fd, std::uint8_t* data, std::size_t n,
 
 }  // namespace
 
-void write_frame(int fd, const WireBuf& payload) {
+void write_frame(int fd, const WireBuf& payload, int timeout_ms) {
+  const Deadline deadline = deadline_after(timeout_ms);
   std::uint8_t prefix[4];
   const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
   prefix[0] = static_cast<std::uint8_t>(len);
   prefix[1] = static_cast<std::uint8_t>(len >> 8);
   prefix[2] = static_cast<std::uint8_t>(len >> 16);
   prefix[3] = static_cast<std::uint8_t>(len >> 24);
-  write_all(fd, prefix, 4);
-  write_all(fd, payload.data(), payload.size());
+  write_all(fd, prefix, 4, deadline);
+  write_all(fd, payload.data(), payload.size(), deadline);
 }
 
 bool try_read_frame(int fd, WireBuf& out, int timeout_ms) {
-  Deadline deadline_storage;
-  const Deadline* deadline = nullptr;
-  if (timeout_ms > 0) {
-    deadline_storage = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(timeout_ms);
-    deadline = &deadline_storage;
-  }
+  const Deadline deadline = deadline_after(timeout_ms);
   std::uint8_t prefix[4];
   const std::size_t got = read_upto(fd, prefix, 4, deadline);
   if (got == 0) return false;  // clean EOF at a frame boundary

@@ -32,7 +32,14 @@ inline constexpr std::int64_t kFramePrefixBytes = 4;
 /// Writes one whole frame (length prefix + payload), looping over partial
 /// writes. Throws WireError on any I/O error (including a peer that closed
 /// the connection — SIGPIPE is suppressed).
-void write_frame(int fd, const WireBuf& payload);
+///
+/// `timeout_ms > 0` bounds the WHOLE frame write on a socket the way
+/// read_frame bounds a read: each send is non-blocking, and only a full
+/// socket buffer (EAGAIN) waits in poll(2) for the remaining time — so a
+/// peer that stops reading surfaces as a WireError ("timed out") instead of
+/// blocking the writer forever. `<= 0` writes blocking; so does a non-socket
+/// fd (a pipe) at any timeout.
+void write_frame(int fd, const WireBuf& payload, int timeout_ms = 0);
 
 /// Reads one whole frame's payload, looping over partial reads. Throws
 /// WireError on a torn frame (EOF mid-frame), an oversized length prefix, or

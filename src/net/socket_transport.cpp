@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <string_view>
 #include <thread>
 
@@ -26,18 +27,15 @@ namespace deltacol {
 
 namespace {
 
-/// Exchange-frame payload layout (the frame length prefix itself lives in
-/// net/frame.h): u32 sender rank, u32 sequence number, u32 slot count, then
-/// per slot u32 length + bytes. The receiver validates all three header
-/// fields before accepting a single slot.
+/// The first frame on every rendezvous connection: tag, dialing rank.
 constexpr std::uint32_t kHelloMagic = 0xDC01u;
 
 /// Collective tags. Every collective consumes one tick of the SAME sequence
-/// counter the all-gather uses, and every owned/reduce/gather frame leads
-/// with its tag — so a rank whose collectives run out of step decodes a
-/// wrong tag/seq and fails loudly instead of merging a stale or foreign
-/// frame. The owned-frame layout's closed-form byte accounting is pinned by
-/// bench_e17.
+/// counter, and every owned/reduce/gather frame leads with the prefix (tag,
+/// u32 sender rank, u32 seq) — so a rank whose collectives run out of step
+/// reads a wrong tag/seq and fails loudly instead of merging a stale or
+/// foreign frame. The owned-frame layout's closed-form byte accounting is
+/// pinned by bench_e17.
 constexpr std::uint32_t kOwnedMagic = 0xDC0Eu;   // exchange_owned
 constexpr std::uint32_t kReduceMagic = 0xDC0Fu;  // allreduce_{sum,max}
 constexpr std::uint32_t kGatherMagic = 0xDC10u;  // gather_colors
@@ -69,11 +67,46 @@ int net_timeout_from_env() {
   return ms > 0 ? ms : 0;
 }
 
-/// Owned-exchange frame payload: tag, u32 sender, u32 seq, u32 destination
-/// rank, u32 world, world×u64 posted-envelope counts (the sender's mailbox
-/// row), world×u64 posted wire bits, u32 slot length + the encoded
-/// (sender, dest) slot. The tally rows ride along so every rank reassembles
-/// the full S×S counters without a second collective.
+/// Checks the (sender, seq) fields every exchange frame carries: the frame
+/// must come from `peer` at this collective's sequence number `seq`.
+void expect_sender_and_seq(WireReader& r, int peer, std::uint32_t seq) {
+  const std::uint32_t sender = r.get_u32();
+  const std::uint32_t got_seq = r.get_u32();
+  if (sender != static_cast<std::uint32_t>(peer)) {
+    throw WireError("frame from rank " + std::to_string(sender) +
+                    " arrived on the connection to rank " +
+                    std::to_string(peer));
+  }
+  if (got_seq != seq) {
+    throw WireError("out of step: frame seq " + std::to_string(got_seq) +
+                    " != expected " + std::to_string(seq));
+  }
+}
+
+/// The (tag, sender, seq) prefix of the owned, reduce and gather frames.
+void put_prefix(WireWriter& w, std::uint32_t tag, int sender,
+                std::uint32_t seq) {
+  w.put_u32(tag);
+  w.put_u32(static_cast<std::uint32_t>(sender));
+  w.put_u32(seq);
+}
+
+void expect_prefix(WireReader& r, std::uint32_t tag, int peer,
+                   std::uint32_t seq) {
+  const std::uint32_t got_tag = r.get_u32();
+  if (got_tag != tag) {
+    throw WireError("frame tag " + std::to_string(got_tag) + " != expected " +
+                    std::to_string(tag) + ": rank " + std::to_string(peer) +
+                    " is running a different collective");
+  }
+  expect_sender_and_seq(r, peer, seq);
+}
+
+/// Owned-exchange frame payload: the prefix, u32 destination rank, u32
+/// world, world×u64 posted-envelope counts (the sender's mailbox row),
+/// world×u64 posted wire bits, u32 slot length + the encoded (sender, dest)
+/// slot. The tally rows ride along so every rank reassembles the full S×S
+/// counters without a second collective.
 constexpr std::int64_t owned_frame_header_bytes(int world) {
   return 5 * 4 + static_cast<std::int64_t>(world) * 16 + 4;
 }
@@ -83,9 +116,7 @@ WireBuf encode_owned_frame(int sender, std::uint32_t seq, int dest, int world,
                            const std::vector<std::int64_t>& row_bits,
                            const WireBuf& slot) {
   WireWriter w;
-  w.put_u32(kOwnedMagic);
-  w.put_u32(static_cast<std::uint32_t>(sender));
-  w.put_u32(seq);
+  put_prefix(w, kOwnedMagic, sender, seq);
   w.put_u32(static_cast<std::uint32_t>(dest));
   w.put_u32(static_cast<std::uint32_t>(world));
   for (std::int64_t c : row_counts) w.put_u64(static_cast<std::uint64_t>(c));
@@ -95,65 +126,43 @@ WireBuf encode_owned_frame(int sender, std::uint32_t seq, int dest, int world,
   return w.take();
 }
 
-struct OwnedFrame {
-  std::vector<std::int64_t> row_counts;
-  std::vector<std::int64_t> row_bits;
-  WireBuf slot;
-};
-
-OwnedFrame decode_owned_frame(const WireBuf& payload, int expect_sender,
-                              std::uint32_t expect_seq, int expect_dest,
-                              int expect_world) {
+/// Decodes `sender`'s owned frame into row `sender` of `out`'s tallies and
+/// its slot.
+void decode_owned_frame(const WireBuf& payload, int sender, std::uint32_t seq,
+                        int dest, int world, Transport::OwnedExchange& out) {
   WireReader r(payload);
-  const std::uint32_t magic = r.get_u32();
-  if (magic != kOwnedMagic) {
-    throw WireError("owner-routed frame has tag " + std::to_string(magic) +
-                    " — peer rank " + std::to_string(expect_sender) +
-                    " is running a different collective");
-  }
-  const std::uint32_t sender = r.get_u32();
-  const std::uint32_t seq = r.get_u32();
-  const std::uint32_t dest = r.get_u32();
-  const std::uint32_t world = r.get_u32();
-  if (sender != static_cast<std::uint32_t>(expect_sender)) {
-    throw WireError("owner-routed frame from rank " + std::to_string(sender) +
-                    " arrived on the connection to rank " +
-                    std::to_string(expect_sender));
-  }
-  if (seq != expect_seq) {
-    throw WireError("rank " + std::to_string(expect_sender) +
-                    " is out of step: owner-routed frame seq " +
-                    std::to_string(seq) + " != expected " +
-                    std::to_string(expect_seq));
-  }
-  if (dest != static_cast<std::uint32_t>(expect_dest)) {
+  expect_prefix(r, kOwnedMagic, sender, seq);
+  const std::uint32_t got_dest = r.get_u32();
+  const std::uint32_t got_world = r.get_u32();
+  if (got_dest != static_cast<std::uint32_t>(dest)) {
     throw WireError("owner-routed frame addressed to rank " +
-                    std::to_string(dest) + " delivered to rank " +
-                    std::to_string(expect_dest));
+                    std::to_string(got_dest) + " delivered to rank " +
+                    std::to_string(dest));
   }
-  if (world != static_cast<std::uint32_t>(expect_world)) {
+  if (got_world != static_cast<std::uint32_t>(world)) {
     throw WireError("owner-routed frame carries a row for a world of " +
-                    std::to_string(world) + ", expected " +
-                    std::to_string(expect_world));
+                    std::to_string(got_world) + ", expected " +
+                    std::to_string(world));
   }
-  OwnedFrame out;
-  out.row_counts.resize(world);
-  out.row_bits.resize(world);
-  for (std::uint32_t d = 0; d < world; ++d) {
-    out.row_counts[d] = static_cast<std::int64_t>(r.get_u64());
+  const std::size_t row = static_cast<std::size_t>(sender) *
+                          static_cast<std::size_t>(world);
+  for (std::size_t d = 0; d < got_world; ++d) {
+    out.slot_counts[row + d] = static_cast<std::int64_t>(r.get_u64());
   }
-  for (std::uint32_t d = 0; d < world; ++d) {
-    out.row_bits[d] = static_cast<std::int64_t>(r.get_u64());
+  for (std::size_t d = 0; d < got_world; ++d) {
+    out.slot_bits[row + d] = static_cast<std::int64_t>(r.get_u64());
   }
   const std::uint32_t len = r.get_u32();
   if (len != r.remaining()) {
     throw WireError("owner-routed frame slot length disagrees with the frame");
   }
-  out.slot.resize(len);
-  for (std::uint32_t i = 0; i < len; ++i) out.slot[i] = r.get_u8();
-  return out;
+  WireBuf& slot = out.slots[static_cast<std::size_t>(sender)];
+  slot.resize(len);
+  for (std::uint32_t i = 0; i < len; ++i) slot[i] = r.get_u8();
 }
 
+/// All-gather frame payload (untagged): u32 sender rank, u32 seq, u32 slot
+/// count, then per slot u32 length + bytes.
 WireBuf encode_exchange_frame(int sender, std::uint32_t seq,
                               const std::vector<WireBuf>& row) {
   WireWriter w;
@@ -167,37 +176,23 @@ WireBuf encode_exchange_frame(int sender, std::uint32_t seq,
   return w.take();
 }
 
-std::vector<WireBuf> decode_exchange_frame(const WireBuf& payload,
-                                           int expect_sender,
-                                           std::uint32_t expect_seq,
-                                           int expect_world) {
+std::vector<WireBuf> decode_exchange_frame(const WireBuf& payload, int sender,
+                                           std::uint32_t seq, int world) {
   WireReader r(payload);
-  const std::uint32_t sender = r.get_u32();
-  const std::uint32_t seq = r.get_u32();
+  expect_sender_and_seq(r, sender, seq);
   const std::uint32_t slots = r.get_u32();
-  if (sender != static_cast<std::uint32_t>(expect_sender)) {
-    throw WireError("exchange frame from rank " + std::to_string(sender) +
-                    " arrived on the connection to rank " +
-                    std::to_string(expect_sender));
-  }
-  if (seq != expect_seq) {
-    throw WireError("rank " + std::to_string(expect_sender) +
-                    " is out of step: frame seq " + std::to_string(seq) +
-                    " != expected " + std::to_string(expect_seq));
-  }
-  if (slots != static_cast<std::uint32_t>(expect_world)) {
+  if (slots != static_cast<std::uint32_t>(world)) {
     throw WireError("exchange frame carries " + std::to_string(slots) +
-                    " slots for a world of " + std::to_string(expect_world));
+                    " slots for a world of " + std::to_string(world));
   }
   std::vector<WireBuf> row(slots);
-  for (std::uint32_t d = 0; d < slots; ++d) {
+  for (WireBuf& slot : row) {
     const std::uint32_t len = r.get_u32();
     if (len > r.remaining()) {
       throw WireError("exchange frame slot length overruns the frame");
     }
-    WireBuf slot(len);
+    slot.resize(len);
     for (std::uint32_t i = 0; i < len; ++i) slot[i] = r.get_u8();
-    row[d] = std::move(slot);
   }
   if (!r.done()) throw WireError("trailing bytes after exchange frame slots");
   return row;
@@ -352,7 +347,7 @@ SocketTransport::SocketTransport(const NetConfig& cfg, int connect_timeout_ms)
       WireWriter hello;
       hello.put_u32(kHelloMagic);
       hello.put_u32(static_cast<std::uint32_t>(rank_));
-      write_frame(fd, hello.take());
+      write_frame(fd, hello.take(), net_timeout_ms_);
       fds_[static_cast<std::size_t>(r)] = fd;
     }
     // Accept from every higher rank; their hello frame tells us who they are.
@@ -427,25 +422,62 @@ void SocketTransport::run_shards(const std::function<void(int)>& body) {
   body(rank_);
 }
 
-std::vector<std::uint8_t> SocketTransport::read_frame_from(int peer) {
+void SocketTransport::swap_frames(
+    std::vector<WireBuf> to_peers,
+    const std::function<void(int, const WireBuf&)>& decode) {
+  const auto naming = [this](const char* doing, int peer, const WireError& e) {
+    return WireError("rank " + std::to_string(rank_) + ": " + doing +
+                     " rank " + std::to_string(peer) + ": " + e.what());
+  };
+  // One writer thread per peer pushes that peer's frame while this thread
+  // reads the peers in rank order — every rank sends and receives at once,
+  // so no pair of ranks can deadlock on full socket buffers, and slow peers
+  // overlap instead of serializing. A writer that cannot be started fails
+  // the call like a read error, after the started writers are joined.
+  std::vector<std::thread> writers;
+  writers.reserve(static_cast<std::size_t>(world_));
+  std::vector<std::exception_ptr> write_errors(static_cast<std::size_t>(world_));
+  std::exception_ptr read_error;
   try {
-    return read_frame(fds_[static_cast<std::size_t>(peer)], net_timeout_ms_);
-  } catch (const WireError& e) {
-    throw WireError("rank " + std::to_string(rank_) +
-                    ": reading from rank " + std::to_string(peer) + ": " +
-                    e.what());
+    for (int d = 0; d < world_; ++d) {
+      if (d == rank_) continue;
+      const WireBuf& frame = to_peers[static_cast<std::size_t>(d)];
+      bytes_sent_ +=
+          static_cast<std::int64_t>(frame.size()) + kFramePrefixBytes;
+      ++frames_sent_;
+      writers.emplace_back([this, d, &frame, &write_errors, &naming] {
+        std::exception_ptr& error = write_errors[static_cast<std::size_t>(d)];
+        try {
+          write_frame(fds_[static_cast<std::size_t>(d)], frame,
+                      net_timeout_ms_);
+        } catch (const WireError& e) {
+          error = std::make_exception_ptr(naming("writing to", d, e));
+        } catch (...) {
+          error = std::current_exception();
+        }
+      });
+    }
+    for (int s = 0; s < world_; ++s) {
+      if (s == rank_) continue;
+      try {
+        const WireBuf frame =
+            read_frame(fds_[static_cast<std::size_t>(s)], net_timeout_ms_);
+        bytes_received_ +=
+            static_cast<std::int64_t>(frame.size()) + kFramePrefixBytes;
+        decode(s, frame);
+      } catch (const WireError& e) {
+        throw naming("reading from", s, e);
+      }
+    }
+  } catch (...) {
+    read_error = std::current_exception();
   }
-}
-
-void SocketTransport::send_row_frames(
-    const std::vector<std::vector<std::uint8_t>>& row) {
-  const WireBuf frame = encode_exchange_frame(rank_, seq_, row);
-  for (int r = 0; r < world_; ++r) {
-    if (r == rank_) continue;
-    write_frame(fds_[static_cast<std::size_t>(r)], frame);
-    bytes_sent_ += static_cast<std::int64_t>(frame.size()) + kFramePrefixBytes;
-    ++frames_sent_;
+  for (std::thread& w : writers) w.join();
+  if (read_error) std::rethrow_exception(read_error);
+  for (const std::exception_ptr& e : write_errors) {
+    if (e) std::rethrow_exception(e);
   }
+  ++seq_;
 }
 
 std::vector<std::vector<std::vector<std::uint8_t>>>
@@ -455,37 +487,13 @@ SocketTransport::all_gather_rows(
              "local row must carry one slot per destination rank");
   std::vector<std::vector<std::vector<std::uint8_t>>> rows(
       static_cast<std::size_t>(world_));
-
-  // Writer thread pushes our row to every peer while this thread reads the
-  // peers' rows — with everyone sending and receiving concurrently, no pair
-  // of ranks can deadlock on full TCP buffers.
-  std::exception_ptr write_error;
-  std::thread writer([&] {
-    try {
-      send_row_frames(local_row);
-    } catch (...) {
-      write_error = std::current_exception();
-    }
-  });
-  std::exception_ptr read_error;
-  try {
-    for (int r = 0; r < world_; ++r) {
-      if (r == rank_) continue;
-      const WireBuf frame = read_frame_from(r);
-      bytes_received_ +=
-          static_cast<std::int64_t>(frame.size()) + kFramePrefixBytes;
-      rows[static_cast<std::size_t>(r)] =
-          decode_exchange_frame(frame, r, seq_, world_);
-    }
-  } catch (...) {
-    read_error = std::current_exception();
-  }
-  writer.join();
-  if (read_error) std::rethrow_exception(read_error);
-  if (write_error) std::rethrow_exception(write_error);
-
+  swap_frames(std::vector<WireBuf>(static_cast<std::size_t>(world_),
+                                   encode_exchange_frame(rank_, seq_, local_row)),
+              [&](int s, const WireBuf& in) {
+                rows[static_cast<std::size_t>(s)] =
+                    decode_exchange_frame(in, s, seq_, world_);
+              });
   rows[static_cast<std::size_t>(rank_)] = std::move(local_row);
-  ++seq_;
   return rows;
 }
 
@@ -513,100 +521,54 @@ Transport::OwnedExchange SocketTransport::exchange_owned(
     out.slot_bits[idx] = row_bits[static_cast<std::size_t>(d)];
   }
 
-  // Encode every frame up front on the calling thread (counters are not
-  // thread-safe), asserting per frame that the physical slot payload is
-  // exactly the bytes the cross_payload_bytes counter records.
+  // Encode every frame, asserting per frame that the physical slot payload
+  // is exactly the bytes the cross_payload_bytes counter records.
   const std::int64_t header = owned_frame_header_bytes(world_);
   std::vector<WireBuf> frames(static_cast<std::size_t>(world_));
   for (int d = 0; d < world_; ++d) {
     if (d == rank_) continue;
     const WireBuf& slot = to_peers[static_cast<std::size_t>(d)];
-    frames[static_cast<std::size_t>(d)] =
-        encode_owned_frame(rank_, seq_, d, world_, row_counts, row_bits, slot);
-    DC_ENSURE(static_cast<std::int64_t>(
-                  frames[static_cast<std::size_t>(d)].size()) ==
+    WireBuf& frame = frames[static_cast<std::size_t>(d)];
+    frame = encode_owned_frame(rank_, seq_, d, world_, row_counts, row_bits,
+                               slot);
+    DC_ENSURE(static_cast<std::int64_t>(frame.size()) ==
                   header + static_cast<std::int64_t>(slot.size()),
               "owner-routed frame size disagrees with its slot payload");
     cross_payload_bytes_ += static_cast<std::int64_t>(slot.size());
-    bytes_sent_ += static_cast<std::int64_t>(
-                       frames[static_cast<std::size_t>(d)].size()) +
-                   kFramePrefixBytes;
-    ++frames_sent_;
   }
-
-  // One writer thread per peer pushes that peer's frame while this thread
-  // reads the peers in rank order — everyone sends and receives
-  // concurrently, so no pair of ranks can deadlock on full TCP buffers, and
-  // slow peers overlap instead of serializing.
-  std::vector<std::thread> writers;
-  writers.reserve(static_cast<std::size_t>(world_ - 1));
-  std::vector<std::exception_ptr> write_errors(
-      static_cast<std::size_t>(world_));
-  for (int d = 0; d < world_; ++d) {
-    if (d == rank_) continue;
-    writers.emplace_back([this, d, &frames, &write_errors] {
-      try {
-        write_frame(fds_[static_cast<std::size_t>(d)],
-                    frames[static_cast<std::size_t>(d)]);
-      } catch (...) {
-        write_errors[static_cast<std::size_t>(d)] = std::current_exception();
-      }
-    });
-  }
-  std::exception_ptr read_error;
-  try {
-    for (int s = 0; s < world_; ++s) {
-      if (s == rank_) continue;
-      const WireBuf frame = read_frame_from(s);
-      bytes_received_ +=
-          static_cast<std::int64_t>(frame.size()) + kFramePrefixBytes;
-      OwnedFrame decoded = decode_owned_frame(frame, s, seq_, rank_, world_);
-      for (int d = 0; d < world_; ++d) {
-        const std::size_t idx = static_cast<std::size_t>(s) *
-                                    static_cast<std::size_t>(world_) +
-                                static_cast<std::size_t>(d);
-        out.slot_counts[idx] = decoded.row_counts[static_cast<std::size_t>(d)];
-        out.slot_bits[idx] = decoded.row_bits[static_cast<std::size_t>(d)];
-      }
-      out.slots[static_cast<std::size_t>(s)] = std::move(decoded.slot);
-    }
-  } catch (...) {
-    read_error = std::current_exception();
-  }
-  for (std::thread& w : writers) w.join();
-  if (read_error) std::rethrow_exception(read_error);
-  for (const std::exception_ptr& e : write_errors) {
-    if (e) std::rethrow_exception(e);
-  }
-  ++seq_;
+  swap_frames(std::move(frames), [&](int s, const WireBuf& in) {
+    decode_owned_frame(in, s, seq_, rank_, world_, out);
+  });
   return out;
 }
 
-// Small all-to-all of one u64 per rank, folded in ascending rank order
-// including our own — every rank computes the identical result. Shares the
-// sequence counter with the exchanges so collective drift is caught.
+std::vector<std::int64_t> SocketTransport::allreduce_inputs(
+    std::int64_t value) {
+  WireWriter w;
+  put_prefix(w, kReduceMagic, rank_, seq_);
+  w.put_u64(static_cast<std::uint64_t>(value));
+  std::vector<std::int64_t> values(static_cast<std::size_t>(world_), value);
+  swap_frames(std::vector<WireBuf>(static_cast<std::size_t>(world_), w.take()),
+              [&](int s, const WireBuf& in) {
+                WireReader r(in);
+                expect_prefix(r, kReduceMagic, s, seq_);
+                values[static_cast<std::size_t>(s)] =
+                    static_cast<std::int64_t>(r.get_u64());
+                if (!r.done()) throw WireError("trailing bytes after a value");
+              });
+  return values;
+}
+
+// Both folds run in ascending rank order over the same inputs, so every rank
+// computes the identical result.
 std::int64_t SocketTransport::allreduce_sum(std::int64_t value) {
-  std::int64_t acc = 0;
-  const auto fold = [&acc](std::int64_t x) { acc += x; };
-  for (int r = 0; r < world_; ++r) {
-    if (r == rank_) {
-      fold(value);
-      continue;
-    }
-    fold(exchange_reduce_value(r, value));
-  }
-  ++seq_;
-  return acc;
+  const std::vector<std::int64_t> values = allreduce_inputs(value);
+  return std::accumulate(values.begin(), values.end(), std::int64_t{0});
 }
 
 std::int64_t SocketTransport::allreduce_max(std::int64_t value) {
-  std::int64_t acc = value;
-  for (int r = 0; r < world_; ++r) {
-    if (r == rank_) continue;
-    acc = std::max(acc, exchange_reduce_value(r, value));
-  }
-  ++seq_;
-  return acc;
+  const std::vector<std::int64_t> values = allreduce_inputs(value);
+  return *std::max_element(values.begin(), values.end());
 }
 
 void SocketTransport::gather_colors(const VertexPartition& part,
@@ -615,119 +577,32 @@ void SocketTransport::gather_colors(const VertexPartition& part,
              "gather_colors: partition shard count disagrees with the world");
   DC_REQUIRE(static_cast<int>(values.size()) == part.num_vertices(),
              "gather_colors: value array does not span the partition");
-  if (world_ == 1) return;
 
-  // Frame: tag, sender, seq, u32 owned count, count×u32 values in owned
-  // order (ascending original id — graph/partition.h). Identical frame to
-  // every peer, so one writer thread suffices (the all-gather pattern).
+  // Frame: the prefix, u32 owned count, count×u32 values in owned order
+  // (ascending original id — graph/partition.h).
   WireWriter w;
-  w.put_u32(kGatherMagic);
-  w.put_u32(static_cast<std::uint32_t>(rank_));
-  w.put_u32(seq_);
-  const int owned = part.size(rank_);
-  w.put_u32(static_cast<std::uint32_t>(owned));
-  for (int i = 0; i < owned; ++i) {
+  put_prefix(w, kGatherMagic, rank_, seq_);
+  w.put_u32(static_cast<std::uint32_t>(part.size(rank_)));
+  for (int i = 0; i < part.size(rank_); ++i) {
     w.put_u32(static_cast<std::uint32_t>(
         values[static_cast<std::size_t>(part.owned_vertex(rank_, i))]));
   }
-  const WireBuf frame = w.take();
-  for (int r = 0; r < world_; ++r) {
-    if (r == rank_) continue;
-    bytes_sent_ += static_cast<std::int64_t>(frame.size()) + kFramePrefixBytes;
-    ++frames_sent_;
-  }
-  std::exception_ptr write_error;
-  std::thread writer([&] {
-    try {
-      for (int r = 0; r < world_; ++r) {
-        if (r == rank_) continue;
-        write_frame(fds_[static_cast<std::size_t>(r)], frame);
-      }
-    } catch (...) {
-      write_error = std::current_exception();
-    }
-  });
-  std::exception_ptr read_error;
-  try {
-    for (int s = 0; s < world_; ++s) {
-      if (s == rank_) continue;
-      const WireBuf in = read_frame_from(s);
-      bytes_received_ +=
-          static_cast<std::int64_t>(in.size()) + kFramePrefixBytes;
-      WireReader r(in);
-      const std::uint32_t magic = r.get_u32();
-      const std::uint32_t sender = r.get_u32();
-      const std::uint32_t seq = r.get_u32();
-      const std::uint32_t count = r.get_u32();
-      if (magic != kGatherMagic ||
-          sender != static_cast<std::uint32_t>(s) || seq != seq_ ||
-          count != static_cast<std::uint32_t>(part.size(s))) {
-        throw WireError("gather_colors: malformed frame from rank " +
-                        std::to_string(s));
-      }
-      for (std::uint32_t i = 0; i < count; ++i) {
-        values[static_cast<std::size_t>(
-            part.owned_vertex(s, static_cast<int>(i)))] =
-            static_cast<int>(r.get_u32());
-      }
-      if (!r.done()) {
-        throw WireError("gather_colors: trailing bytes from rank " +
-                        std::to_string(s));
-      }
-    }
-  } catch (...) {
-    read_error = std::current_exception();
-  }
-  writer.join();
-  if (read_error) std::rethrow_exception(read_error);
-  if (write_error) std::rethrow_exception(write_error);
-  ++seq_;
-}
-
-// One round of the reduce all-to-all against a single peer: send our value,
-// read theirs (both 24-byte frames; the deterministic folds above never
-// depend on arrival order because every pairwise exchange is synchronous).
-std::int64_t SocketTransport::exchange_reduce_value(int peer,
-                                                    std::int64_t value) {
-  WireWriter w;
-  w.put_u32(kReduceMagic);
-  w.put_u32(static_cast<std::uint32_t>(rank_));
-  w.put_u32(seq_);
-  w.put_u64(static_cast<std::uint64_t>(value));
-  const WireBuf frame = w.take();
-  bytes_sent_ += static_cast<std::int64_t>(frame.size()) + kFramePrefixBytes;
-  ++frames_sent_;
-  std::exception_ptr write_error;
-  std::thread writer([&] {
-    try {
-      write_frame(fds_[static_cast<std::size_t>(peer)], frame);
-    } catch (...) {
-      write_error = std::current_exception();
-    }
-  });
-  std::int64_t peer_value = 0;
-  std::exception_ptr read_error;
-  try {
-    const WireBuf in = read_frame_from(peer);
-    bytes_received_ += static_cast<std::int64_t>(in.size()) + kFramePrefixBytes;
-    WireReader r(in);
-    const std::uint32_t magic = r.get_u32();
-    const std::uint32_t sender = r.get_u32();
-    const std::uint32_t seq = r.get_u32();
-    peer_value = static_cast<std::int64_t>(r.get_u64());
-    if (magic != kReduceMagic ||
-        sender != static_cast<std::uint32_t>(peer) || seq != seq_ ||
-        !r.done()) {
-      throw WireError("allreduce: malformed frame from rank " +
-                      std::to_string(peer));
-    }
-  } catch (...) {
-    read_error = std::current_exception();
-  }
-  writer.join();
-  if (read_error) std::rethrow_exception(read_error);
-  if (write_error) std::rethrow_exception(write_error);
-  return peer_value;
+  swap_frames(std::vector<WireBuf>(static_cast<std::size_t>(world_), w.take()),
+              [&](int s, const WireBuf& in) {
+                WireReader r(in);
+                expect_prefix(r, kGatherMagic, s, seq_);
+                const std::uint32_t count = r.get_u32();
+                if (count != static_cast<std::uint32_t>(part.size(s))) {
+                  throw WireError("gather frame carries " +
+                                  std::to_string(count) + " values, rank owns " +
+                                  std::to_string(part.size(s)));
+                }
+                for (int i = 0; i < part.size(s); ++i) {
+                  values[static_cast<std::size_t>(part.owned_vertex(s, i))] =
+                      static_cast<int>(r.get_u32());
+                }
+                if (!r.done()) throw WireError("trailing bytes after the values");
+              });
 }
 
 void SocketTransport::barrier() {

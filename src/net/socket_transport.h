@@ -1,26 +1,26 @@
 /// \file
 /// The TCP backend of the shard runtime: one OS process per shard/rank,
-/// persistent connections, frame-per-row exchange.
+/// persistent connections, one frame per peer per collective.
 ///
 /// `SocketTransport` implements the distributed half of the `Transport`
-/// contract (runtime/mailbox.h):
+/// contract (runtime/mailbox.h). `local_shard()` is this process's rank —
+/// `run_shards(body)` invokes `body(rank)` and nothing else; the other
+/// ranks run their own bodies in their own processes.
 ///
-///   * `local_shard()` is this process's rank — `run_shards(body)` invokes
-///     `body(rank)` and nothing else; the other ranks run their own bodies
-///     in their own processes.
-///   * `exchange_owned()` moves one engine round: one point-to-point frame
-///     per peer carrying ONLY the encoded slot addressed to that peer (plus
-///     this rank's per-slot tally row, so every rank reassembles the full
-///     S×S counters), written by per-peer writer threads while this thread
-///     reads the peers in rank order — the inter-round barrier of a
-///     distributed run. Frames carry a sequence number, so a rank that
-///     drifted a round out of step fails loudly instead of merging stale
-///     slots.
-///   * `all_gather_rows()` ships one row of byte buffers to every peer as
-///     one frame per peer (net/frame.h) and blocks until every peer's row
-///     arrived. It carries the halo adjacency exchange (net/rank_loader.h)
-///     and `barrier()`, never an engine round; it shares the sequence
-///     counter, so collective drift fails loudly here too.
+/// **One exchange path.** Every collective is encode → swap_frames →
+/// decode. swap_frames sends one frame to each peer on a per-peer writer
+/// thread while this thread reads one frame from each peer in rank order
+/// (so no pair of ranks deadlocks on full socket buffers), and advances the
+/// sequence number every frame carries — a rank whose collectives drift out
+/// of step fails loudly instead of merging a stale or foreign frame.
+///
+///   * `exchange_owned()` moves one engine round: each peer's frame carries
+///     ONLY the encoded slot addressed to that peer (plus this rank's
+///     per-slot tally row, so every rank reassembles the full S×S
+///     counters) — the inter-round barrier of a distributed run.
+///   * `all_gather_rows()` ships one row of byte buffers to every peer and
+///     returns every peer's row. It carries the halo adjacency exchange
+///     (net/rank_loader.h) and `barrier()`, never an engine round.
 ///   * `allreduce_sum()` / `allreduce_max()` / `gather_colors()` are the
 ///     small deterministic collectives an owner-compute run needs for
 ///     termination tests, the CONGEST max fold, and the end-of-run result
@@ -28,10 +28,10 @@
 ///
 /// **Hardening** (multi-machine runs): DELTACOL_NET_TIMEOUT_MS, read at
 /// construction, bounds the rendezvous (connect retry budget AND the accept
-/// wait for peers that never dial) and every per-frame read — a silent or
-/// absent peer surfaces as a WireError naming the peer rank instead of
-/// hanging this rank forever. Unset or <= 0 keeps the original behavior
-/// (20 s connect budget, block-forever reads).
+/// wait for peers that never dial) and every frame read and write — a
+/// silent, absent or non-reading peer surfaces as a WireError naming the
+/// peer rank instead of hanging this rank forever. Unset or <= 0 keeps the
+/// original behavior (20 s connect budget, blocking reads and writes).
 ///
 /// **Rendezvous.** Every rank knows the full host:port list (`NetConfig`,
 /// parsed from flags or the DELTACOL_RANK / DELTACOL_WORLD /
@@ -111,8 +111,6 @@ class SocketTransport final : public Transport {
   /// Runs only the local rank's body (the other ranks are other processes).
   void run_shards(const std::function<void(int)>& body) override;
 
-  void exchange() override { ++exchanges_; }
-
   std::vector<std::vector<std::vector<std::uint8_t>>> all_gather_rows(
       std::vector<std::vector<std::uint8_t>> local_row) override;
 
@@ -144,7 +142,6 @@ class SocketTransport final : public Transport {
 
   int rank() const { return rank_; }
   int world() const { return world_; }
-  int exchanges() const { return exchanges_; }
 
   // --- physically measured wire traffic (frame payloads + prefixes), the
   // --- denominator of the E17 framing-overhead ratio.
@@ -162,20 +159,22 @@ class SocketTransport final : public Transport {
   std::int64_t cross_payload_bytes() const { return cross_payload_bytes_; }
 
  private:
-  void send_row_frames(const std::vector<std::vector<std::uint8_t>>& row);
-  /// read_frame with this transport's timeout, rethrowing WireError with
-  /// the peer rank named (the hardening contract).
-  std::vector<std::uint8_t> read_frame_from(int peer);
-  /// One pairwise leg of an allreduce: send our value to `peer`, return
-  /// theirs (synchronous, sequence-validated).
-  std::int64_t exchange_reduce_value(int peer, std::int64_t value);
+  /// The one peer exchange every collective runs: sends `to_peers[d]` to
+  /// each peer d on its own writer thread while this thread reads one frame
+  /// from each peer in rank order and hands it to `decode(peer, frame)`.
+  /// Counts the wire traffic and advances the sequence number. Every read,
+  /// write and decode failure is a WireError naming both ranks; the read
+  /// error is rethrown first, then write errors in rank order.
+  void swap_frames(std::vector<WireBuf> to_peers,
+                   const std::function<void(int, const WireBuf&)>& decode);
+  /// Every rank's allreduce input, in rank order.
+  std::vector<std::int64_t> allreduce_inputs(std::int64_t value);
   void close_all();
 
   int rank_ = -1;
   int world_ = 0;
   std::vector<int> fds_;  // per peer rank, -1 at rank_
   std::uint32_t seq_ = 0;
-  int exchanges_ = 0;
   int net_timeout_ms_ = 0;  // DELTACOL_NET_TIMEOUT_MS; 0 = wait forever
   std::int64_t bytes_sent_ = 0;
   std::int64_t bytes_received_ = 0;

@@ -813,6 +813,83 @@ TEST(SocketTransport, SilentPeerMidExchangeNamesTheRank) {
   }
 }
 
+// A peer that stalls must not hang this rank: the read AND every frame write
+// of a collective are bounded by DELTACOL_NET_TIMEOUT_MS. The slot below is
+// several times a socketpair's default send buffer (~208 KiB), so writing
+// it to a peer that never reads blocks; it stays small enough that encoding
+// it in an unoptimized build is a small part of the time budget.
+constexpr int kStallTimeoutMs = 400;
+constexpr std::size_t kStallSlotBytes = 1u << 20;
+
+// Runs `call` on its own thread against a rank 1 whose end of the socket is
+// `stalled_fd` and expects a WireError naming rank 1 within twice the
+// timeout. A call still blocked by then is a failure; closing the stalled
+// end releases its writer so the test itself cannot hang.
+template <typename Call>
+void expect_stall_fails_naming_rank_1(int& stalled_fd, Call call) {
+  auto result = std::async(std::launch::async, [&]() -> std::string {
+    try {
+      call();
+    } catch (const WireError& e) {
+      return e.what();
+    }
+    return "(no error)";
+  });
+  if (result.wait_for(std::chrono::milliseconds(2 * kStallTimeoutMs)) !=
+      std::future_status::ready) {
+    ADD_FAILURE() << "collective still blocked " << 2 * kStallTimeoutMs
+                  << " ms after it started against a stalled peer";
+    ::close(stalled_fd);
+    stalled_fd = -1;
+    result.wait();
+    return;
+  }
+  const std::string what = result.get();
+  EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+  EXPECT_NE(what.find("timed out"), std::string::npos) << what;
+}
+
+// Rank 1 neither reads nor writes: the read times out, and so must the
+// write of rank 0's large frame.
+TEST(SocketTransport, PeerThatNeverReadsOrWritesCannotHangACollective) {
+  EnvGuard guard("DELTACOL_NET_TIMEOUT_MS", std::to_string(kStallTimeoutMs));
+  for (bool owned : {false, true}) {
+    SCOPED_TRACE(owned ? "exchange_owned" : "all_gather_rows");
+    FdPair fds;
+    SocketTransport t0(0, 2, std::vector<int>{-1, fds.a});
+    fds.a = -1;
+    std::vector<WireBuf> slots(2);
+    slots[1].assign(kStallSlotBytes, 0xAB);
+    expect_stall_fails_naming_rank_1(fds.b, [&] {
+      if (owned) {
+        t0.exchange_owned(std::move(slots), {0, 0}, {0, 0});
+      } else {
+        t0.all_gather_rows(std::move(slots));
+      }
+    });
+    fds.close_remaining();
+  }
+}
+
+// Rank 1 sends its whole frame of the collective and then stops reading:
+// rank 0's read succeeds, so only the write deadline ends the call.
+TEST(SocketTransport, PeerThatStopsReadingCannotHangACollective) {
+  EnvGuard guard("DELTACOL_NET_TIMEOUT_MS", std::to_string(kStallTimeoutMs));
+  FdPair fds;
+  SocketTransport t0(0, 2, std::vector<int>{-1, fds.a});
+  fds.a = -1;
+  // Rank 1's all-gather frame for sequence 0: sender, seq, slot count, and
+  // two empty slots.
+  WireWriter w;
+  for (std::uint32_t field : {1u, 0u, 2u, 0u, 0u}) w.put_u32(field);
+  write_frame(fds.b, w.take());
+  std::vector<WireBuf> slots(2);
+  slots[1].assign(kStallSlotBytes, 0xAB);
+  expect_stall_fails_naming_rank_1(
+      fds.b, [&] { t0.all_gather_rows(std::move(slots)); });
+  fds.close_remaining();
+}
+
 // --- the headline differential ---------------------------------------------
 
 struct LubyRun {
