@@ -423,7 +423,7 @@ void SocketTransport::run_shards(const std::function<void(int)>& body) {
 }
 
 void SocketTransport::swap_frames(
-    std::vector<WireBuf> to_peers,
+    const std::vector<WireBuf>& to_peers,
     const std::function<void(int, const WireBuf&)>& decode) {
   const auto naming = [this](const char* doing, int peer, const WireError& e) {
     return WireError("rank " + std::to_string(rank_) + ": " + doing +
@@ -536,7 +536,7 @@ Transport::OwnedExchange SocketTransport::exchange_owned(
               "owner-routed frame size disagrees with its slot payload");
     cross_payload_bytes_ += static_cast<std::int64_t>(slot.size());
   }
-  swap_frames(std::move(frames), [&](int s, const WireBuf& in) {
+  swap_frames(frames, [&](int s, const WireBuf& in) {
     decode_owned_frame(in, s, seq_, rank_, world_, out);
   });
   return out;

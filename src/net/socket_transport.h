@@ -165,7 +165,7 @@ class SocketTransport final : public Transport {
   /// Counts the wire traffic and advances the sequence number. Every read,
   /// write and decode failure is a WireError naming both ranks; the read
   /// error is rethrown first, then write errors in rank order.
-  void swap_frames(std::vector<WireBuf> to_peers,
+  void swap_frames(const std::vector<WireBuf>& to_peers,
                    const std::function<void(int, const WireBuf&)>& decode);
   /// Every rank's allreduce input, in rank order.
   std::vector<std::int64_t> allreduce_inputs(std::int64_t value);
