@@ -40,6 +40,7 @@ static_assert(kLubyMessageBits == 1 + 64,
 // ceil(1/8) + ceil(64/8) — the per-field rounding the fuzz suite pins.
 template <>
 struct WireCodec<Msg> {
+  static std::size_t bytes(const Msg&) { return 1 + 8; }
   static void encode(const Msg& m, WireWriter& w) {
     WireCodec<bool>::encode(m.is_join, w);
     WireCodec<std::uint64_t>::encode(m.priority, w);

@@ -1,5 +1,6 @@
 #include "net/frame.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -8,6 +9,7 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 namespace deltacol {
@@ -50,19 +52,27 @@ void wait_ready(int fd, short events, const Deadline& deadline,
   }
 }
 
-// write(2) raises SIGPIPE (fatal by default) when the peer has gone; send(2)
-// with MSG_NOSIGNAL turns that into EPIPE, which we surface as WireError.
-// Under a deadline every send is non-blocking and only an EAGAIN waits, in
-// poll(2) — so a peer that stopped reading cannot block this thread past
-// the deadline, and a send that fits the socket buffer costs no extra
-// syscall. Non-socket fds (the framing tests run over pipes too) fall back
-// to a blocking write.
-void write_all(int fd, const std::uint8_t* data, std::size_t n,
-               const Deadline& deadline) {
+// write(2) raises SIGPIPE (fatal by default) when the peer has gone;
+// sendmsg(2) with MSG_NOSIGNAL turns that into EPIPE, which we surface as
+// WireError. Writes the `n` pieces of `iov` as one gather write, advancing
+// over partial writes. Under a deadline every send is non-blocking and only
+// an EAGAIN waits, in poll(2) — so a peer that stopped reading cannot block
+// this thread past the deadline, and a send that fits the socket buffer
+// costs no extra syscall. Non-socket fds (the framing tests run over pipes
+// too) fall back to a blocking writev.
+void write_all(int fd, iovec* iov, int n, const Deadline& deadline) {
   const int flags = MSG_NOSIGNAL | (deadline ? MSG_DONTWAIT : 0);
-  while (n > 0) {
-    std::ptrdiff_t w = ::send(fd, data, n, flags);
-    if (w < 0 && errno == ENOTSOCK) w = ::write(fd, data, n);
+  for (;;) {
+    while (n > 0 && iov->iov_len == 0) {
+      ++iov;
+      --n;
+    }
+    if (n == 0) return;
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<std::size_t>(n);
+    std::ptrdiff_t w = ::sendmsg(fd, &msg, flags);
+    if (w < 0 && errno == ENOTSOCK) w = ::writev(fd, iov, n);
     if (w < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -72,8 +82,16 @@ void write_all(int fd, const std::uint8_t* data, std::size_t n,
       }
       io_fail("frame write failed");
     }
-    data += w;
-    n -= static_cast<std::size_t>(w);
+    for (auto left = static_cast<std::size_t>(w); left > 0;) {
+      const std::size_t step = std::min(left, iov->iov_len);
+      iov->iov_base = static_cast<std::uint8_t*>(iov->iov_base) + step;
+      iov->iov_len -= step;
+      left -= step;
+      if (iov->iov_len == 0) {
+        ++iov;
+        --n;
+      }
+    }
   }
 }
 
@@ -102,15 +120,21 @@ std::size_t read_upto(int fd, std::uint8_t* data, std::size_t n,
 }  // namespace
 
 void write_frame(int fd, const WireBuf& payload, int timeout_ms) {
-  const Deadline deadline = deadline_after(timeout_ms);
-  std::uint8_t prefix[4];
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  prefix[0] = static_cast<std::uint8_t>(len);
-  prefix[1] = static_cast<std::uint8_t>(len >> 8);
-  prefix[2] = static_cast<std::uint8_t>(len >> 16);
-  prefix[3] = static_cast<std::uint8_t>(len >> 24);
-  write_all(fd, prefix, 4, deadline);
-  write_all(fd, payload.data(), payload.size(), deadline);
+  write_frame(fd, payload, {}, timeout_ms);
+}
+
+void write_frame(int fd, std::span<const std::uint8_t> head,
+                 std::span<const std::uint8_t> body, int timeout_ms) {
+  const std::uint32_t len =
+      static_cast<std::uint32_t>(head.size() + body.size());
+  std::uint8_t prefix[4] = {
+      static_cast<std::uint8_t>(len), static_cast<std::uint8_t>(len >> 8),
+      static_cast<std::uint8_t>(len >> 16),
+      static_cast<std::uint8_t>(len >> 24)};
+  iovec iov[3] = {{prefix, sizeof(prefix)},
+                  {const_cast<std::uint8_t*>(head.data()), head.size()},
+                  {const_cast<std::uint8_t*>(body.data()), body.size()}};
+  write_all(fd, iov, 3, deadline_after(timeout_ms));
 }
 
 bool try_read_frame(int fd, WireBuf& out, int timeout_ms) {
@@ -127,11 +151,25 @@ bool try_read_frame(int fd, WireBuf& out, int timeout_ms) {
     throw WireError("frame length " + std::to_string(len) +
                     " exceeds kMaxFrameBytes — corrupted stream");
   }
-  out.resize(len);
-  if (read_upto(fd, out.data(), len, deadline) < len) {
-    throw WireError("torn frame: EOF inside a " + std::to_string(len) +
-                    "-byte payload");
+  // The prefix is the peer's word, not a measurement: grow the buffer by
+  // what has arrived (doubling from one chunk, or up to the size an earlier
+  // frame left), so a 4-byte lie cannot make this rank allocate and
+  // zero-fill the length it claims. Bytes an earlier frame already sized
+  // are overwritten in place, never zero-filled again.
+  constexpr std::size_t kFirstChunk = std::size_t{64} << 10;
+  std::size_t have = 0;
+  while (have < len) {
+    const std::size_t want = std::min<std::size_t>(
+        len, std::max({out.size(), 2 * have, kFirstChunk}));
+    if (out.size() < want) out.resize(want);
+    if (read_upto(fd, out.data() + have, want - have, deadline) <
+        want - have) {
+      throw WireError("torn frame: EOF inside a " + std::to_string(len) +
+                      "-byte payload");
+    }
+    have = want;
   }
+  out.resize(len);
   return true;
 }
 

@@ -10,12 +10,17 @@
 /// rather than handing a truncated payload up the stack
 /// (tests/test_socket_transport.cpp injects exactly these failures).
 ///
-/// Frames carry serialized mailbox slots (net/wire_codec.h), so the length
-/// guard `kMaxFrameBytes` bounds what a confused or hostile peer can make
-/// this process allocate.
+/// Frames carry serialized mailbox slots (net/wire_codec.h). A frame is
+/// written with one gather write of its prefix and payload pieces, so a
+/// payload assembled from a header and a separately encoded slot is never
+/// copied into one buffer first. A read fills a caller-owned buffer that is
+/// reused across frames and grows only as payload bytes actually arrive:
+/// neither `kMaxFrameBytes` nor a length prefix alone makes this process
+/// allocate.
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "net/wire_codec.h"
 
@@ -41,6 +46,12 @@ inline constexpr std::int64_t kFramePrefixBytes = 4;
 /// fd (a pipe) at any timeout.
 void write_frame(int fd, const WireBuf& payload, int timeout_ms = 0);
 
+/// write_frame for a payload in two pieces: one frame whose payload is
+/// `head` followed by `body`, sent with one gather write (prefix, head,
+/// body) — the pieces are never concatenated in memory.
+void write_frame(int fd, std::span<const std::uint8_t> head,
+                 std::span<const std::uint8_t> body, int timeout_ms = 0);
+
 /// Reads one whole frame's payload, looping over partial reads. Throws
 /// WireError on a torn frame (EOF mid-frame), an oversized length prefix, or
 /// any I/O error — including EOF at a frame boundary (use try_read_frame
@@ -53,9 +64,12 @@ void write_frame(int fd, const WireBuf& payload, int timeout_ms = 0);
 /// keeps the original block-forever behavior.
 WireBuf read_frame(int fd, int timeout_ms = 0);
 
-/// Like read_frame, but a clean EOF at a frame boundary returns false
+/// Like read_frame, but reads into `out` (its contents are replaced, its
+/// capacity is reused), and a clean EOF at a frame boundary returns false
 /// instead of throwing. EOF inside a frame still throws (torn frame), and
-/// so does an expired `timeout_ms` deadline.
+/// so does an expired `timeout_ms` deadline. `out` grows as payload bytes
+/// arrive — to at most about twice what came in (or the size an earlier
+/// frame left it), never to the length the prefix merely claims.
 bool try_read_frame(int fd, WireBuf& out, int timeout_ms = 0);
 
 }  // namespace deltacol

@@ -106,28 +106,32 @@ void expect_prefix(WireReader& r, std::uint32_t tag, int peer,
 /// world, world×u64 posted-envelope counts (the sender's mailbox row),
 /// world×u64 posted wire bits, u32 slot length + the encoded (sender, dest)
 /// slot. The tally rows ride along so every rank reassembles the full S×S
-/// counters without a second collective.
+/// counters without a second collective. Everything before the slot is the
+/// header; the slot itself goes on the wire from the caller's buffer.
 constexpr std::int64_t owned_frame_header_bytes(int world) {
   return 5 * 4 + static_cast<std::int64_t>(world) * 16 + 4;
 }
 
-WireBuf encode_owned_frame(int sender, std::uint32_t seq, int dest, int world,
-                           const std::vector<std::int64_t>& row_counts,
-                           const std::vector<std::int64_t>& row_bits,
-                           const WireBuf& slot) {
-  WireWriter w;
+/// Writes the owned-frame header for a `slot_bytes`-byte slot into `head`
+/// (its capacity is reused across rounds).
+void encode_owned_header(int sender, std::uint32_t seq, int dest, int world,
+                         const std::vector<std::int64_t>& row_counts,
+                         const std::vector<std::int64_t>& row_bits,
+                         std::size_t slot_bytes, WireBuf& head) {
+  WireWriter w(std::move(head));
+  w.reserve(static_cast<std::size_t>(owned_frame_header_bytes(world)));
   put_prefix(w, kOwnedMagic, sender, seq);
   w.put_u32(static_cast<std::uint32_t>(dest));
   w.put_u32(static_cast<std::uint32_t>(world));
   for (std::int64_t c : row_counts) w.put_u64(static_cast<std::uint64_t>(c));
   for (std::int64_t b : row_bits) w.put_u64(static_cast<std::uint64_t>(b));
-  w.put_u32(static_cast<std::uint32_t>(slot.size()));
-  for (std::uint8_t b : slot) w.put_u8(b);
-  return w.take();
+  w.put_u32(static_cast<std::uint32_t>(slot_bytes));
+  head = w.take();
 }
 
-/// Decodes `sender`'s owned frame into row `sender` of `out`'s tallies and
-/// its slot.
+/// Checks `sender`'s owned frame and decodes its tallies into row `sender`
+/// of `out`; `out.slots[sender]` becomes a view of the slot bytes inside
+/// `payload` (no copy).
 void decode_owned_frame(const WireBuf& payload, int sender, std::uint32_t seq,
                         int dest, int world, Transport::OwnedExchange& out) {
   WireReader r(payload);
@@ -156,22 +160,23 @@ void decode_owned_frame(const WireBuf& payload, int sender, std::uint32_t seq,
   if (len != r.remaining()) {
     throw WireError("owner-routed frame slot length disagrees with the frame");
   }
-  WireBuf& slot = out.slots[static_cast<std::size_t>(sender)];
-  slot.resize(len);
-  for (std::uint32_t i = 0; i < len; ++i) slot[i] = r.get_u8();
+  out.slots[static_cast<std::size_t>(sender)] = r.get_bytes(len);
 }
 
 /// All-gather frame payload (untagged): u32 sender rank, u32 seq, u32 slot
 /// count, then per slot u32 length + bytes.
 WireBuf encode_exchange_frame(int sender, std::uint32_t seq,
                               const std::vector<WireBuf>& row) {
+  std::size_t bytes = 12;
+  for (const WireBuf& slot : row) bytes += 4 + slot.size();
   WireWriter w;
+  w.reserve(bytes);
   w.put_u32(static_cast<std::uint32_t>(sender));
   w.put_u32(seq);
   w.put_u32(static_cast<std::uint32_t>(row.size()));
   for (const WireBuf& slot : row) {
     w.put_u32(static_cast<std::uint32_t>(slot.size()));
-    for (std::uint8_t b : slot) w.put_u8(b);
+    w.put_bytes(slot);
   }
   return w.take();
 }
@@ -191,8 +196,8 @@ std::vector<WireBuf> decode_exchange_frame(const WireBuf& payload, int sender,
     if (len > r.remaining()) {
       throw WireError("exchange frame slot length overruns the frame");
     }
-    slot.resize(len);
-    for (std::uint32_t i = 0; i < len; ++i) slot[i] = r.get_u8();
+    const std::span<const std::uint8_t> bytes = r.get_bytes(len);
+    slot.assign(bytes.begin(), bytes.end());
   }
   if (!r.done()) throw WireError("trailing bytes after exchange frame slots");
   return row;
@@ -330,6 +335,8 @@ SocketTransport::SocketTransport(const NetConfig& cfg, int connect_timeout_ms)
     : rank_(cfg.rank), world_(cfg.world), net_timeout_ms_(net_timeout_from_env()) {
   cfg.validate();
   fds_.assign(static_cast<std::size_t>(world_), -1);
+  rx_.resize(static_cast<std::size_t>(world_));
+  tx_heads_.resize(static_cast<std::size_t>(world_));
   if (world_ == 1) return;  // a lonely rank needs no mesh
 
   // DELTACOL_NET_TIMEOUT_MS overrides the connect budget and additionally
@@ -407,6 +414,8 @@ SocketTransport::SocketTransport(int rank, int world, std::vector<int> peer_fds)
                "missing peer fd for rank " + std::to_string(r));
   }
   fds_[static_cast<std::size_t>(rank_)] = -1;
+  rx_.resize(static_cast<std::size_t>(world_));
+  tx_heads_.resize(static_cast<std::size_t>(world_));
 }
 
 SocketTransport::~SocketTransport() { close_all(); }
@@ -423,7 +432,7 @@ void SocketTransport::run_shards(const std::function<void(int)>& body) {
 }
 
 void SocketTransport::swap_frames(
-    const std::vector<WireBuf>& to_peers,
+    const std::vector<OutFrame>& to_peers,
     const std::function<void(int, const WireBuf&)>& decode) {
   const auto naming = [this](const char* doing, int peer, const WireError& e) {
     return WireError("rank " + std::to_string(rank_) + ": " + doing +
@@ -441,15 +450,16 @@ void SocketTransport::swap_frames(
   try {
     for (int d = 0; d < world_; ++d) {
       if (d == rank_) continue;
-      const WireBuf& frame = to_peers[static_cast<std::size_t>(d)];
-      bytes_sent_ +=
-          static_cast<std::int64_t>(frame.size()) + kFramePrefixBytes;
+      const OutFrame& frame = to_peers[static_cast<std::size_t>(d)];
+      bytes_sent_ += static_cast<std::int64_t>(frame.head.size() +
+                                               frame.body.size()) +
+                     kFramePrefixBytes;
       ++frames_sent_;
       writers.emplace_back([this, d, &frame, &write_errors, &naming] {
         std::exception_ptr& error = write_errors[static_cast<std::size_t>(d)];
         try {
-          write_frame(fds_[static_cast<std::size_t>(d)], frame,
-                      net_timeout_ms_);
+          write_frame(fds_[static_cast<std::size_t>(d)], frame.head,
+                      frame.body, net_timeout_ms_);
         } catch (const WireError& e) {
           error = std::make_exception_ptr(naming("writing to", d, e));
         } catch (...) {
@@ -460,8 +470,11 @@ void SocketTransport::swap_frames(
     for (int s = 0; s < world_; ++s) {
       if (s == rank_) continue;
       try {
-        const WireBuf frame =
-            read_frame(fds_[static_cast<std::size_t>(s)], net_timeout_ms_);
+        WireBuf& frame = rx_[static_cast<std::size_t>(s)];
+        if (!try_read_frame(fds_[static_cast<std::size_t>(s)], frame,
+                            net_timeout_ms_)) {
+          throw WireError("unexpected EOF: peer closed before sending a frame");
+        }
         bytes_received_ +=
             static_cast<std::int64_t>(frame.size()) + kFramePrefixBytes;
         decode(s, frame);
@@ -480,6 +493,12 @@ void SocketTransport::swap_frames(
   ++seq_;
 }
 
+std::vector<SocketTransport::OutFrame> SocketTransport::to_every_peer(
+    const WireBuf& frame) const {
+  return std::vector<OutFrame>(static_cast<std::size_t>(world_),
+                               OutFrame{frame, {}});
+}
+
 std::vector<std::vector<std::vector<std::uint8_t>>>
 SocketTransport::all_gather_rows(
     std::vector<std::vector<std::uint8_t>> local_row) {
@@ -487,12 +506,11 @@ SocketTransport::all_gather_rows(
              "local row must carry one slot per destination rank");
   std::vector<std::vector<std::vector<std::uint8_t>>> rows(
       static_cast<std::size_t>(world_));
-  swap_frames(std::vector<WireBuf>(static_cast<std::size_t>(world_),
-                                   encode_exchange_frame(rank_, seq_, local_row)),
-              [&](int s, const WireBuf& in) {
-                rows[static_cast<std::size_t>(s)] =
-                    decode_exchange_frame(in, s, seq_, world_);
-              });
+  const WireBuf frame = encode_exchange_frame(rank_, seq_, local_row);
+  swap_frames(to_every_peer(frame), [&](int s, const WireBuf& in) {
+    rows[static_cast<std::size_t>(s)] =
+        decode_exchange_frame(in, s, seq_, world_);
+  });
   rows[static_cast<std::size_t>(rank_)] = std::move(local_row);
   return rows;
 }
@@ -521,24 +539,27 @@ Transport::OwnedExchange SocketTransport::exchange_owned(
     out.slot_bits[idx] = row_bits[static_cast<std::size_t>(d)];
   }
 
-  // Encode every frame, asserting per frame that the physical slot payload
-  // is exactly the bytes the cross_payload_bytes counter records.
+  // Each frame is this peer's header followed by the caller's slot buffer,
+  // written as one gather write: the slot is never copied into a frame.
+  // The per-frame check pins the physical slot payload to exactly the bytes
+  // the cross_payload_bytes counter records.
   const std::int64_t header = owned_frame_header_bytes(world_);
-  std::vector<WireBuf> frames(static_cast<std::size_t>(world_));
+  std::vector<OutFrame> frames(static_cast<std::size_t>(world_));
   for (int d = 0; d < world_; ++d) {
     if (d == rank_) continue;
     const WireBuf& slot = to_peers[static_cast<std::size_t>(d)];
-    WireBuf& frame = frames[static_cast<std::size_t>(d)];
-    frame = encode_owned_frame(rank_, seq_, d, world_, row_counts, row_bits,
-                               slot);
-    DC_ENSURE(static_cast<std::int64_t>(frame.size()) ==
-                  header + static_cast<std::int64_t>(slot.size()),
-              "owner-routed frame size disagrees with its slot payload");
+    WireBuf& head = tx_heads_[static_cast<std::size_t>(d)];
+    encode_owned_header(rank_, seq_, d, world_, row_counts, row_bits,
+                        slot.size(), head);
+    DC_ENSURE(static_cast<std::int64_t>(head.size()) == header,
+              "owner-routed frame header disagrees with its closed form");
+    frames[static_cast<std::size_t>(d)] = OutFrame{head, slot};
     cross_payload_bytes_ += static_cast<std::int64_t>(slot.size());
   }
   swap_frames(frames, [&](int s, const WireBuf& in) {
     decode_owned_frame(in, s, seq_, rank_, world_, out);
   });
+  out.sent = std::move(to_peers);
   return out;
 }
 
@@ -547,15 +568,15 @@ std::vector<std::int64_t> SocketTransport::allreduce_inputs(
   WireWriter w;
   put_prefix(w, kReduceMagic, rank_, seq_);
   w.put_u64(static_cast<std::uint64_t>(value));
+  const WireBuf frame = w.take();
   std::vector<std::int64_t> values(static_cast<std::size_t>(world_), value);
-  swap_frames(std::vector<WireBuf>(static_cast<std::size_t>(world_), w.take()),
-              [&](int s, const WireBuf& in) {
-                WireReader r(in);
-                expect_prefix(r, kReduceMagic, s, seq_);
-                values[static_cast<std::size_t>(s)] =
-                    static_cast<std::int64_t>(r.get_u64());
-                if (!r.done()) throw WireError("trailing bytes after a value");
-              });
+  swap_frames(to_every_peer(frame), [&](int s, const WireBuf& in) {
+    WireReader r(in);
+    expect_prefix(r, kReduceMagic, s, seq_);
+    values[static_cast<std::size_t>(s)] =
+        static_cast<std::int64_t>(r.get_u64());
+    if (!r.done()) throw WireError("trailing bytes after a value");
+  });
   return values;
 }
 
@@ -587,22 +608,22 @@ void SocketTransport::gather_colors(const VertexPartition& part,
     w.put_u32(static_cast<std::uint32_t>(
         values[static_cast<std::size_t>(part.owned_vertex(rank_, i))]));
   }
-  swap_frames(std::vector<WireBuf>(static_cast<std::size_t>(world_), w.take()),
-              [&](int s, const WireBuf& in) {
-                WireReader r(in);
-                expect_prefix(r, kGatherMagic, s, seq_);
-                const std::uint32_t count = r.get_u32();
-                if (count != static_cast<std::uint32_t>(part.size(s))) {
-                  throw WireError("gather frame carries " +
-                                  std::to_string(count) + " values, rank owns " +
-                                  std::to_string(part.size(s)));
-                }
-                for (int i = 0; i < part.size(s); ++i) {
-                  values[static_cast<std::size_t>(part.owned_vertex(s, i))] =
-                      static_cast<int>(r.get_u32());
-                }
-                if (!r.done()) throw WireError("trailing bytes after the values");
-              });
+  const WireBuf frame = w.take();
+  swap_frames(to_every_peer(frame), [&](int s, const WireBuf& in) {
+    WireReader r(in);
+    expect_prefix(r, kGatherMagic, s, seq_);
+    const std::uint32_t count = r.get_u32();
+    if (count != static_cast<std::uint32_t>(part.size(s))) {
+      throw WireError("gather frame carries " +
+                      std::to_string(count) + " values, rank owns " +
+                      std::to_string(part.size(s)));
+    }
+    for (int i = 0; i < part.size(s); ++i) {
+      values[static_cast<std::size_t>(part.owned_vertex(s, i))] =
+          static_cast<int>(r.get_u32());
+    }
+    if (!r.done()) throw WireError("trailing bytes after the values");
+  });
 }
 
 void SocketTransport::barrier() {

@@ -17,7 +17,11 @@
 ///   * `exchange_owned()` moves one engine round: each peer's frame carries
 ///     ONLY the encoded slot addressed to that peer (plus this rank's
 ///     per-slot tally row, so every rank reassembles the full S×S
-///     counters) — the inter-round barrier of a distributed run.
+///     counters) — the inter-round barrier of a distributed run. It is the
+///     one-copy path: the slot goes out from the caller's buffer behind a
+///     reused per-peer header in one gather write, lands in a per-peer
+///     receive buffer reused across collectives, and comes back as a view
+///     into that buffer for Mailbox::fill to decode in place.
 ///   * `all_gather_rows()` ships one row of byte buffers to every peer and
 ///     returns every peer's row. It carries the halo adjacency exchange
 ///     (net/rank_loader.h) and `barrier()`, never an engine round.
@@ -51,6 +55,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -117,7 +122,8 @@ class SocketTransport final : public Transport {
   /// Owner-routed point-to-point exchange (see the file comment and the
   /// Transport contract). `to_peers[rank()]` must be empty — the local slot
   /// never crosses the wire — and the returned slots[rank()] is empty for
-  /// the same reason.
+  /// the same reason. The returned slot views point into this transport's
+  /// receive buffers: they stay valid until its next collective.
   OwnedExchange exchange_owned(std::vector<std::vector<std::uint8_t>> to_peers,
                                std::vector<std::int64_t> row_counts,
                                std::vector<std::int64_t> row_bits) override;
@@ -159,14 +165,25 @@ class SocketTransport final : public Transport {
   std::int64_t cross_payload_bytes() const { return cross_payload_bytes_; }
 
  private:
+  /// One outgoing frame's payload, in two pieces that go out in one gather
+  /// write: `head`, then `body` (either may be empty). Non-owning.
+  struct OutFrame {
+    std::span<const std::uint8_t> head;
+    std::span<const std::uint8_t> body;
+  };
+
   /// The one peer exchange every collective runs: sends `to_peers[d]` to
   /// each peer d on its own writer thread while this thread reads one frame
-  /// from each peer in rank order and hands it to `decode(peer, frame)`.
-  /// Counts the wire traffic and advances the sequence number. Every read,
-  /// write and decode failure is a WireError naming both ranks; the read
-  /// error is rethrown first, then write errors in rank order.
-  void swap_frames(const std::vector<WireBuf>& to_peers,
+  /// from each peer in rank order into that peer's reused receive buffer
+  /// and hands it to `decode(peer, frame)` (the buffer is overwritten by the
+  /// next collective). Counts the wire traffic and advances the sequence
+  /// number. Every read, write and decode failure is a WireError naming
+  /// both ranks; the read error is rethrown first, then write errors in rank
+  /// order.
+  void swap_frames(const std::vector<OutFrame>& to_peers,
                    const std::function<void(int, const WireBuf&)>& decode);
+  /// `frame` as the whole payload of every peer's frame.
+  std::vector<OutFrame> to_every_peer(const WireBuf& frame) const;
   /// Every rank's allreduce input, in rank order.
   std::vector<std::int64_t> allreduce_inputs(std::int64_t value);
   void close_all();
@@ -174,6 +191,8 @@ class SocketTransport final : public Transport {
   int rank_ = -1;
   int world_ = 0;
   std::vector<int> fds_;  // per peer rank, -1 at rank_
+  std::vector<WireBuf> rx_;        // per peer: the last frame read from it
+  std::vector<WireBuf> tx_heads_;  // per peer: the last owned-frame header
   std::uint32_t seq_ = 0;
   int net_timeout_ms_ = 0;  // DELTACOL_NET_TIMEOUT_MS; 0 = wait forever
   std::int64_t bytes_sent_ = 0;

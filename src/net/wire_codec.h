@@ -33,11 +33,16 @@
 /// A distributed round ships mailbox slots with this codec: the
 /// owner-routed exchange (`Mailbox::encode_owned_row` →
 /// `Transport::exchange_owned`) serializes the off-diagonal slots of a
-/// shard's row with `encode_slot` and the receiver replays them with
-/// `decode_slot`.
+/// shard's row with `encode_slot` — once, into an exactly sized buffer the
+/// mailbox reuses across rounds — and the receiver's `Mailbox::fill`
+/// replays them with `decode_slot`, straight from the transport's receive
+/// buffer into the slot's reused envelope vector.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -56,37 +61,67 @@ class WireError : public std::runtime_error {
   explicit WireError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Appends fixed-width little-endian fields to a growing buffer.
+/// Appends fixed-width little-endian fields to a growing buffer. Every
+/// field is one bounds check and one bulk store; reserve() the exact size
+/// first and no append reallocates.
 class WireWriter {
  public:
-  void put_u8(std::uint8_t x) { buf_.push_back(x); }
+  WireWriter() = default;
+  /// Writes into `buf`'s storage: its contents are overwritten, its
+  /// capacity is kept — take() hands the buffer back for the next reuse.
+  explicit WireWriter(WireBuf buf) : buf_(std::move(buf)) {}
+
+  /// Makes room for `n` more bytes, so the next `n` bytes of appends
+  /// neither grow nor zero-fill the buffer.
+  void reserve(std::size_t n) {
+    if (buf_.size() - len_ < n) buf_.resize(len_ + n);
+  }
+
+  void put_u8(std::uint8_t x) { put_bytes({&x, 1}); }
 
   void put_u32(std::uint32_t x) {
-    buf_.push_back(static_cast<std::uint8_t>(x));
-    buf_.push_back(static_cast<std::uint8_t>(x >> 8));
-    buf_.push_back(static_cast<std::uint8_t>(x >> 16));
-    buf_.push_back(static_cast<std::uint8_t>(x >> 24));
+    const std::uint8_t le[4] = {
+        static_cast<std::uint8_t>(x), static_cast<std::uint8_t>(x >> 8),
+        static_cast<std::uint8_t>(x >> 16), static_cast<std::uint8_t>(x >> 24)};
+    put_bytes(le);
   }
 
   void put_u64(std::uint64_t x) {
-    put_u32(static_cast<std::uint32_t>(x));
-    put_u32(static_cast<std::uint32_t>(x >> 32));
+    const std::uint8_t le[8] = {
+        static_cast<std::uint8_t>(x),       static_cast<std::uint8_t>(x >> 8),
+        static_cast<std::uint8_t>(x >> 16), static_cast<std::uint8_t>(x >> 24),
+        static_cast<std::uint8_t>(x >> 32), static_cast<std::uint8_t>(x >> 40),
+        static_cast<std::uint8_t>(x >> 48), static_cast<std::uint8_t>(x >> 56)};
+    put_bytes(le);
   }
 
-  std::size_t size() const { return buf_.size(); }
-  WireBuf take() { return std::move(buf_); }
+  void put_bytes(std::span<const std::uint8_t> bytes) {
+    if (bytes.empty()) return;
+    if (buf_.size() - len_ < bytes.size()) [[unlikely]] {
+      buf_.resize(std::max(len_ + bytes.size(), 2 * buf_.size()));
+    }
+    std::memcpy(buf_.data() + len_, bytes.data(), bytes.size());
+    len_ += bytes.size();
+  }
+
+  std::size_t size() const { return len_; }
+  WireBuf take() {
+    buf_.resize(len_);
+    len_ = 0;
+    return std::move(buf_);
+  }
 
  private:
-  WireBuf buf_;
+  WireBuf buf_;          // bytes [0, len_) are written; the rest is room
+  std::size_t len_ = 0;
 };
 
 /// Consumes fixed-width little-endian fields from a buffer; throws WireError
 /// on underrun. Non-owning — the buffer must outlive the reader.
 class WireReader {
  public:
-  WireReader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-  explicit WireReader(const WireBuf& buf) : WireReader(buf.data(), buf.size()) {}
+  explicit WireReader(std::span<const std::uint8_t> bytes)
+      : data_(bytes.data()), size_(bytes.size()) {}
 
   std::uint8_t get_u8() {
     need(1);
@@ -109,15 +144,24 @@ class WireReader {
     return lo | hi << 32;
   }
 
+  /// Consumes the next `n` bytes and returns them in place (no copy).
+  std::span<const std::uint8_t> get_bytes(std::size_t n) {
+    need(n);
+    const std::span<const std::uint8_t> out(data_ + pos_, n);
+    pos_ += n;
+    return out;
+  }
+
   std::size_t remaining() const { return size_ - pos_; }
   bool done() const { return pos_ == size_; }
 
  private:
   void need(std::size_t n) const {
-    if (size_ - pos_ < n) {
-      throw WireError("wire payload truncated: need " + std::to_string(n) +
-                      " byte(s), have " + std::to_string(size_ - pos_));
-    }
+    if (size_ - pos_ < n) [[unlikely]] truncated(n, size_ - pos_);
+  }
+  [[noreturn]] static void truncated(std::size_t n, std::size_t have) {
+    throw WireError("wire payload truncated: need " + std::to_string(n) +
+                    " byte(s), have " + std::to_string(have));
   }
 
   const std::uint8_t* data_;
@@ -127,7 +171,10 @@ class WireReader {
 
 /// Primary template: intentionally undefined — specialize for every message
 /// type that crosses a distributed Transport (the mirror of MessageSize's
-/// registration discipline; see the file comment for the convention).
+/// registration discipline; see the file comment for the convention). A
+/// specialization has `encode`, `decode`, and `bytes(x)` — the exact length
+/// `encode(x)` appends, which lets a slot be encoded into an exactly
+/// reserved buffer.
 template <typename Msg>
 struct WireCodec;
 
@@ -135,6 +182,7 @@ struct WireCodec;
 
 template <>
 struct WireCodec<bool> {
+  static std::size_t bytes(const bool&) { return 1; }
   static void encode(const bool& x, WireWriter& w) { w.put_u8(x ? 1 : 0); }
   static bool decode(WireReader& r) {
     const std::uint8_t b = r.get_u8();
@@ -145,12 +193,14 @@ struct WireCodec<bool> {
 
 template <>
 struct WireCodec<std::uint32_t> {
+  static std::size_t bytes(const std::uint32_t&) { return 4; }
   static void encode(const std::uint32_t& x, WireWriter& w) { w.put_u32(x); }
   static std::uint32_t decode(WireReader& r) { return r.get_u32(); }
 };
 
 template <>
 struct WireCodec<std::int32_t> {
+  static std::size_t bytes(const std::int32_t&) { return 4; }
   static void encode(const std::int32_t& x, WireWriter& w) {
     w.put_u32(static_cast<std::uint32_t>(x));
   }
@@ -161,12 +211,14 @@ struct WireCodec<std::int32_t> {
 
 template <>
 struct WireCodec<std::uint64_t> {
+  static std::size_t bytes(const std::uint64_t&) { return 8; }
   static void encode(const std::uint64_t& x, WireWriter& w) { w.put_u64(x); }
   static std::uint64_t decode(WireReader& r) { return r.get_u64(); }
 };
 
 template <>
 struct WireCodec<std::int64_t> {
+  static std::size_t bytes(const std::int64_t&) { return 8; }
   static void encode(const std::int64_t& x, WireWriter& w) {
     w.put_u64(static_cast<std::uint64_t>(x));
   }
@@ -179,6 +231,9 @@ struct WireCodec<std::int64_t> {
 
 template <typename A, typename B>
 struct WireCodec<std::pair<A, B>> {
+  static std::size_t bytes(const std::pair<A, B>& p) {
+    return WireCodec<A>::bytes(p.first) + WireCodec<B>::bytes(p.second);
+  }
   static void encode(const std::pair<A, B>& p, WireWriter& w) {
     WireCodec<A>::encode(p.first, w);
     WireCodec<B>::encode(p.second, w);
@@ -193,6 +248,11 @@ struct WireCodec<std::pair<A, B>> {
 
 template <typename T>
 struct WireCodec<std::vector<T>> {
+  static std::size_t bytes(const std::vector<T>& v) {
+    std::size_t total = 4;
+    for (const T& x : v) total += WireCodec<T>::bytes(x);
+    return total;
+  }
   static void encode(const std::vector<T>& v, WireWriter& w) {
     w.put_u32(static_cast<std::uint32_t>(v.size()));
     for (const T& x : v) WireCodec<T>::encode(x, w);
@@ -232,41 +292,55 @@ struct WireCodec<std::vector<T>> {
 inline constexpr std::int64_t kWireEnvelopeOverheadBytes = 8;
 inline constexpr std::int64_t kWireSlotPrefixBytes = 4;
 
-/// Serializes one mailbox slot. `Env` is any envelope shape with `to`,
+/// Serializes one mailbox slot into `out`, replacing its contents and
+/// keeping its capacity: the exact length is summed first and reserved
+/// once, so no append reallocates. `Env` is any envelope shape with `to`,
 /// `from` (vertex ids) and `msg` (a registered WireCodec type) — i.e.
 /// Mailbox<Msg>::Envelope.
 template <typename Msg, typename Env>
-WireBuf encode_slot(const std::vector<Env>& slot) {
-  WireWriter w;
+void encode_slot(const std::vector<Env>& slot, WireBuf& out) {
+  std::size_t bytes =
+      static_cast<std::size_t>(kWireSlotPrefixBytes) +
+      slot.size() * static_cast<std::size_t>(kWireEnvelopeOverheadBytes);
+  for (const Env& e : slot) bytes += WireCodec<Msg>::bytes(e.msg);
+  WireWriter w(std::move(out));
+  w.reserve(bytes);
   w.put_u32(static_cast<std::uint32_t>(slot.size()));
   for (const Env& e : slot) {
     w.put_u32(static_cast<std::uint32_t>(e.to));
     w.put_u32(static_cast<std::uint32_t>(e.from));
     WireCodec<Msg>::encode(e.msg, w);
   }
-  return w.take();
+  out = w.take();
 }
 
-/// Decodes one mailbox slot (the exact inverse of encode_slot). Throws
-/// WireError on truncation, trailing bytes, or malformed payloads.
-template <typename Msg, typename Env>
-std::vector<Env> decode_slot(const WireBuf& bytes) {
+/// Decodes one mailbox slot (the exact inverse of encode_slot) into `out`
+/// in one pass: `out` is cleared (its capacity is reused) and every decoded
+/// envelope is handed to `visit` as soon as it lands, so the caller checks
+/// and tallies it without a second walk. Throws WireError on truncation,
+/// trailing bytes, or malformed payloads; a count the bytes cannot hold is
+/// rejected before anything is reserved. On a throw `out` holds a partial
+/// slot the caller must discard.
+template <typename Msg, typename Env, typename Visit>
+void decode_slot(std::span<const std::uint8_t> bytes, std::vector<Env>& out,
+                 Visit&& visit) {
   WireReader r(bytes);
   const std::uint32_t count = r.get_u32();
   // Each envelope costs at least its 8 addressing bytes — reject impossible
   // counts before allocating.
   if (count > r.remaining() / kWireEnvelopeOverheadBytes) {
-    throw WireError("wire slot envelope count exceeds remaining payload");
+    throw WireError("wire slot envelope count " + std::to_string(count) +
+                    " exceeds what its " + std::to_string(r.remaining()) +
+                    " remaining bytes can hold");
   }
-  std::vector<Env> slot;
-  slot.reserve(count);
+  out.clear();
+  out.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     const int to = static_cast<int>(r.get_u32());
     const int from = static_cast<int>(r.get_u32());
-    slot.push_back(Env{to, from, WireCodec<Msg>::decode(r)});
+    visit(out.emplace_back(Env{to, from, WireCodec<Msg>::decode(r)}));
   }
   if (!r.done()) throw WireError("trailing bytes after mailbox slot");
-  return slot;
 }
 
 }  // namespace deltacol

@@ -48,6 +48,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -111,14 +112,20 @@ class Transport {
 
   /// Result of an owner-routed exchange. `slots[s]` is the encoded
   /// (s, local_shard) slot shipped by rank s (empty at s == local_shard —
-  /// the local slot never crossed the wire); `slot_counts` / `slot_bits`
+  /// the local slot never crossed the wire), as a view into the
+  /// transport's receive buffer for rank s: it stays valid until the
+  /// transport's next collective, so the caller decodes it (Mailbox::fill)
+  /// before anything else goes over the wire. `slot_counts` / `slot_bits`
   /// are the reassembled full S×S row-major per-slot tallies (every rank's
   /// posted row, piggybacked on the frames), so ShardRuntime::record_round
-  /// sees the same counters the in-process run sees.
+  /// sees the same counters the in-process run sees. `sent` hands the
+  /// caller's `to_peers` buffers back once they are on the wire, so their
+  /// capacity serves the next round's encode (Mailbox::reuse_owned_row).
   struct OwnedExchange {
-    std::vector<std::vector<std::uint8_t>> slots;
+    std::vector<std::span<const std::uint8_t>> slots;
     std::vector<std::int64_t> slot_counts;
     std::vector<std::int64_t> slot_bits;
+    std::vector<std::vector<std::uint8_t>> sent;
   };
 
   /// Owner-routed distributed exchange: ships `to_peers[d]` — the encoded
@@ -287,41 +294,60 @@ class Mailbox {
   }
 
   /// Installs a whole slot at once — the remote-fill path of a distributed
-  /// backend: rank d decodes the bytes rank s shipped and fills slot
-  /// (s, d). Envelope order must be the sender's post order — decode_slot
-  /// preserves it — so the shard-major merge rule survives serialization.
-  /// The envelopes are accounted exactly as a local post would have
-  /// (MessageSize is a pure function of the value, so both sides of the
-  /// wire tally identical counters). A slot may be filled at most once per
-  /// round, and never on top of locally posted envelopes: double delivery
-  /// is a transport bug this assertion turns into a loud failure instead of
-  /// silently duplicated messages. Every envelope must be addressed to the
-  /// slot — `to` owned by dst_shard, `from` owned by src_shard — or fill
-  /// throws WireError naming the slot: a misaddressed envelope from a peer
-  /// would otherwise reach receive() under a foreign sender id.
-  void fill(int src_shard, int dst_shard, std::vector<Envelope> envelopes) {
+  /// backend: rank d fills slot (s, d) from the bytes rank s shipped
+  /// (encode_slot's format), decoding them in one pass straight into the
+  /// slot's envelope vector, whose capacity is kept across rounds. The same
+  /// pass checks each envelope's addressing and tallies it exactly as a
+  /// local post would have (MessageSize is a pure function of the value,
+  /// so both sides of the wire tally identical counters). Envelope order is
+  /// the sender's post order, so the shard-major merge rule survives
+  /// serialization. A slot may be filled at most once per round, and never
+  /// on top of locally posted envelopes: double delivery is a transport bug
+  /// this assertion turns into a loud failure instead of silently
+  /// duplicated messages. Malformed bytes — a count the bytes cannot hold
+  /// (rejected before anything is reserved), truncation, trailing bytes,
+  /// or an envelope not addressed to the slot (`to` not owned by
+  /// dst_shard, or `from` not owned by src_shard, which would reach
+  /// receive() under a foreign sender id) — throw WireError naming the
+  /// slot, and leave it empty and unfilled.
+  void fill(int src_shard, int dst_shard, std::span<const std::uint8_t> bytes) {
     const std::size_t idx = slot_index(src_shard, dst_shard);
     DC_REQUIRE(!filled_[idx], "mailbox slot filled twice in one round");
-    DC_REQUIRE(slots_[idx].empty(),
+    std::vector<Envelope>& slot = slots_[idx];
+    DC_REQUIRE(slot.empty(),
                "mailbox fill would clobber locally posted envelopes");
-    const int n = part_->num_vertices();
+    // A shard owns the layout positions [begin, end) — the range form of
+    // shard_of(v) == shard, without its division per id.
+    const VertexPartition& part = *part_;
+    const auto owned = [&part](int v, int begin, int end) {
+      if (v < 0 || v >= part.num_vertices()) return false;
+      const int p = part.position_of(v);
+      return begin <= p && p < end;
+    };
+    const int to_begin = part.begin(dst_shard);
+    const int to_end = part.end(dst_shard);
+    const int from_begin = part.begin(src_shard);
+    const int from_end = part.end(src_shard);
     std::int64_t bits = 0;
-    for (const Envelope& e : envelopes) {
-      if (e.to < 0 || e.to >= n || e.from < 0 || e.from >= n ||
-          part_->shard_of(e.to) != dst_shard ||
-          part_->shard_of(e.from) != src_shard) {
-        throw WireError("mailbox slot (" + std::to_string(src_shard) + ", " +
-                        std::to_string(dst_shard) +
-                        ") holds a misaddressed envelope: " +
+    const auto check_and_tally = [&](const Envelope& e) {
+      if (!owned(e.to, to_begin, to_end) ||
+          !owned(e.from, from_begin, from_end)) {
+        throw WireError("holds a misaddressed envelope: " +
                         std::to_string(e.from) + " -> " +
                         std::to_string(e.to));
       }
       bits += message_bits(e.msg);
+    };
+    try {
+      decode_slot<Msg>(bytes, slot, check_and_tally);
+    } catch (const WireError& e) {
+      slot.clear();
+      throw WireError("mailbox slot (" + std::to_string(src_shard) + ", " +
+                      std::to_string(dst_shard) + ") " + e.what());
     }
     filled_[idx] = 1;
     slot_bits_[idx] += bits;
-    slot_counts_[idx] += static_cast<std::int64_t>(envelopes.size());
-    slots_[idx] = std::move(envelopes);
+    slot_counts_[idx] += static_cast<std::int64_t>(slot.size());
   }
 
   /// Serializes the off-diagonal slots of `src_shard`'s row for an
@@ -331,21 +357,34 @@ class Mailbox {
   /// never touching the codec (that is the owner-compute invariant a
   /// distributed transport must not break; see DESIGN.md §6). The encoded
   /// slots are copies: the off-diagonal envelopes stay staged too, so a
-  /// transport failure mid-exchange never loses the round. At most one
-  /// owner-routed exchange per round: a second call before clear() is a
-  /// double-exchange transport bug and throws.
+  /// transport failure mid-exchange never loses the round. Each slot is
+  /// encoded once, into the buffer reuse_owned_row handed back last round
+  /// (no allocation once the buffers have grown). At most one owner-routed
+  /// exchange per round: a second call before clear() is a double-exchange
+  /// transport bug and throws.
   std::vector<std::vector<std::uint8_t>> encode_owned_row(int src_shard) {
     DC_REQUIRE(!owner_exchanged_,
                "owner-routed exchange ran twice in one round "
                "(encode_owned_row before clear())");
     owner_exchanged_ = true;
-    std::vector<std::vector<std::uint8_t>> row(
-        static_cast<std::size_t>(num_shards_));
+    std::vector<std::vector<std::uint8_t>> row = std::move(wire_row_);
+    row.resize(static_cast<std::size_t>(num_shards_));
     for (int d = 0; d < num_shards_; ++d) {
-      if (d == src_shard) continue;  // the local slot never crosses the wire
-      row[static_cast<std::size_t>(d)] = encode_slot<Msg>(slot(src_shard, d));
+      std::vector<std::uint8_t>& bytes = row[static_cast<std::size_t>(d)];
+      if (d == src_shard) {
+        bytes.clear();  // the local slot never crosses the wire
+        continue;
+      }
+      encode_slot<Msg>(slot(src_shard, d), bytes);
     }
     return row;
+  }
+
+  /// Takes back a row encode_owned_row returned (OwnedExchange::sent, once
+  /// the transport is done with it) so the next round encodes into the
+  /// same buffers.
+  void reuse_owned_row(std::vector<std::vector<std::uint8_t>> row) {
+    wire_row_ = std::move(row);
   }
 
   /// One slot's envelopes, in post order. The destination shard's merge
@@ -396,6 +435,7 @@ class Mailbox {
   std::vector<std::int64_t> slot_bits_;    // same shape, MessageSize bits
   std::vector<std::uint8_t> filled_;       // fill-once-per-round guards
   bool owner_exchanged_ = false;           // exchange-once-per-round guard
+  std::vector<std::vector<std::uint8_t>> wire_row_;  // encode buffers, reused
 };
 
 }  // namespace deltacol

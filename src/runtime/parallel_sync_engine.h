@@ -75,6 +75,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -454,12 +455,19 @@ class ParallelSyncEngine {
                   static_cast<int>(result.slot_bits.size()) ==
                       num_shards * num_shards,
               "exchange_owned returned a malformed result");
+    // Decode every remote slot straight from the transport's receive
+    // buffers into the mailbox before anything else crosses the wire.
     for (int s = 0; s < num_shards; ++s) {
       if (s == local) continue;
-      mailbox.fill(s, local,
-                   decode_slot<Msg, Envelope>(
-                       result.slots[static_cast<std::size_t>(s)]));
+      try {
+        mailbox.fill(s, local, result.slots[static_cast<std::size_t>(s)]);
+      } catch (const WireError& e) {
+        throw WireError("rank " + std::to_string(local) +
+                        ": decoding the slot from rank " + std::to_string(s) +
+                        ": " + e.what());
+      }
     }
+    mailbox.reuse_owned_row(std::move(result.sent));
     transport.exchange();
 
     // Rank-local merge + receive: only column (*, local), only owned

@@ -266,6 +266,9 @@ struct MessageSize<wire_fuzz::FuzzMsg> {
 
 template <>
 struct WireCodec<wire_fuzz::FuzzMsg> {
+  static std::size_t bytes(const wire_fuzz::FuzzMsg& m) {
+    return 1 + 4 + 8 + WireCodec<std::vector<std::uint32_t>>::bytes(m.tail);
+  }
   static void encode(const wire_fuzz::FuzzMsg& m, WireWriter& w) {
     WireCodec<bool>::encode(m.flag, w);
     WireCodec<std::uint32_t>::encode(m.a, w);
@@ -338,6 +341,7 @@ void check_round_trip(const T& value, std::int64_t sub_byte_fields) {
   WireCodec<T>::encode(value, w);
   const WireBuf bytes = w.take();
   ASSERT_EQ(static_cast<std::int64_t>(bytes.size()), WireBytes<T>::of(value));
+  ASSERT_EQ(WireCodec<T>::bytes(value), bytes.size());
   // Each bool field rounds 1 bit up to 1 byte (+7 bits); everything else is
   // byte-aligned, so bytes == (bits + 7 * #bools) / 8 exactly.
   ASSERT_EQ(static_cast<std::int64_t>(bytes.size()) * 8,
@@ -428,13 +432,16 @@ TEST(WireCodecFuzz, TruncatedOrDirtyPayloadsNeverDecodeCleanly) {
 TEST(WireCodecFuzz, MailboxSlotsSurviveSerializationExactly) {
   Rng rng(0x51075);
   using Env = Mailbox<wire_fuzz::FuzzMsg>::Envelope;
+  const auto no_check = [](const Env&) {};
+  WireBuf reused;  // encoded into every iteration: it shrinks and grows
   for (int iter = 0; iter < 300; ++iter) {
     std::vector<Env> slot;
     for (int i = rng.next_int(0, 10); i > 0; --i) {
       slot.push_back(Env{rng.next_int(0, 1000), rng.next_int(0, 1000),
                          random_fuzz_msg(rng)});
     }
-    const WireBuf bytes = encode_slot<wire_fuzz::FuzzMsg>(slot);
+    WireBuf bytes;
+    encode_slot<wire_fuzz::FuzzMsg>(slot, bytes);
     // Slot length law: count prefix + per-envelope addressing + payloads.
     std::int64_t expect = kWireSlotPrefixBytes;
     for (const Env& e : slot) {
@@ -442,7 +449,14 @@ TEST(WireCodecFuzz, MailboxSlotsSurviveSerializationExactly) {
                 WireBytes<wire_fuzz::FuzzMsg>::of(e.msg);
     }
     ASSERT_EQ(static_cast<std::int64_t>(bytes.size()), expect);
-    const auto back = decode_slot<wire_fuzz::FuzzMsg, Env>(bytes);
+    // A buffer holding an earlier slot's bytes encodes to the same bytes.
+    encode_slot<wire_fuzz::FuzzMsg>(slot, reused);
+    ASSERT_EQ(reused, bytes);
+    std::vector<Env> back;
+    std::size_t visited = 0;
+    decode_slot<wire_fuzz::FuzzMsg>(bytes, back,
+                                    [&](const Env&) { ++visited; });
+    ASSERT_EQ(visited, slot.size());
     ASSERT_EQ(back.size(), slot.size());
     for (std::size_t i = 0; i < slot.size(); ++i) {
       EXPECT_EQ(back[i].to, slot[i].to);
@@ -453,16 +467,19 @@ TEST(WireCodecFuzz, MailboxSlotsSurviveSerializationExactly) {
     // count that promises more envelopes than the bytes can carry.
     WireBuf longer = bytes;
     longer.push_back(0);
-    EXPECT_THROW((decode_slot<wire_fuzz::FuzzMsg, Env>(longer)), WireError);
+    EXPECT_THROW(decode_slot<wire_fuzz::FuzzMsg>(longer, back, no_check),
+                 WireError);
     if (!slot.empty()) {
       WireBuf shorter = bytes;
       shorter.pop_back();
-      EXPECT_THROW((decode_slot<wire_fuzz::FuzzMsg, Env>(shorter)), WireError);
+      EXPECT_THROW(decode_slot<wire_fuzz::FuzzMsg>(shorter, back, no_check),
+                   WireError);
     }
     WireBuf inflated = bytes;
     inflated[0] = 0xff;
     inflated[1] = 0xff;
-    EXPECT_THROW((decode_slot<wire_fuzz::FuzzMsg, Env>(inflated)), WireError);
+    EXPECT_THROW(decode_slot<wire_fuzz::FuzzMsg>(inflated, back, no_check),
+                 WireError);
   }
 }
 

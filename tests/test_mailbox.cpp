@@ -209,11 +209,18 @@ TEST(ShardedEngine, ReverseShardOrderTransportIsObservationallyEquivalent) {
 
 // --- the explicit drain/fill surface a serializing transport drives --------
 
+// The wire bytes of a slot holding `envelopes` — what fill() decodes.
+WireBuf slot_bytes(const std::vector<Mailbox<int>::Envelope>& envelopes) {
+  WireBuf bytes;
+  encode_slot<int>(envelopes, bytes);
+  return bytes;
+}
+
 TEST(Mailbox, FillDeliversWholeSlotAndTalliesCounters) {
   const VertexPartition part = VertexPartition::contiguous(10, 2);
   Mailbox<int> mb(&part);
   using Env = Mailbox<int>::Envelope;
-  mb.fill(0, 1, {Env{7, 1, 100}, Env{8, 2, 101}});
+  mb.fill(0, 1, slot_bytes({Env{7, 1, 100}, Env{8, 2, 101}}));
   ASSERT_EQ(mb.slot(0, 1).size(), 2u);
   EXPECT_EQ(mb.slot(0, 1)[0].from, 1);
   EXPECT_EQ(mb.slot(0, 1)[1].msg, 101);
@@ -227,11 +234,11 @@ TEST(Mailbox, DoubleFillOfOneSlotThrows) {
   const VertexPartition part = VertexPartition::contiguous(10, 2);
   Mailbox<int> mb(&part);
   using Env = Mailbox<int>::Envelope;
-  mb.fill(1, 0, {Env{0, 9, 5}});
-  EXPECT_THROW(mb.fill(1, 0, {Env{1, 9, 6}}), ContractViolation);
+  mb.fill(1, 0, slot_bytes({Env{0, 9, 5}}));
+  EXPECT_THROW(mb.fill(1, 0, slot_bytes({Env{1, 9, 6}})), ContractViolation);
   // clear() rearms the guard — the next round may fill again.
   mb.clear();
-  EXPECT_NO_THROW(mb.fill(1, 0, {Env{0, 9, 7}}));
+  EXPECT_NO_THROW(mb.fill(1, 0, slot_bytes({Env{0, 9, 7}})));
 }
 
 TEST(Mailbox, FillOverLocallyPostedEnvelopesThrows) {
@@ -239,7 +246,7 @@ TEST(Mailbox, FillOverLocallyPostedEnvelopesThrows) {
   Mailbox<int> mb(&part);
   using Env = Mailbox<int>::Envelope;
   mb.post(0, /*from=*/1, /*to=*/7, 42);  // slot (0, 1) now has local content
-  EXPECT_THROW(mb.fill(0, 1, {Env{7, 1, 42}}), ContractViolation);
+  EXPECT_THROW(mb.fill(0, 1, slot_bytes({Env{7, 1, 42}})), ContractViolation);
 }
 
 TEST(Mailbox, ClearEmptiesSlotsAndZeroesTallies) {
@@ -272,10 +279,10 @@ TEST(Mailbox, FillRejectsMisaddressedEnvelopes) {
   ASSERT_EQ(part.shard_of(1), 0);
   ASSERT_EQ(part.shard_of(0), 1);
   using Env = Mailbox<int>::Envelope;
-  const auto fill_error = [&](std::vector<Env> slot) -> std::string {
+  const auto fill_error = [&](const std::vector<Env>& slot) -> std::string {
     Mailbox<int> mb(&part);
     try {
-      mb.fill(0, 1, std::move(slot));
+      mb.fill(0, 1, slot_bytes(slot));
     } catch (const WireError& e) {
       // The rejected slot is not installed, and nothing was tallied.
       EXPECT_TRUE(mb.slot(0, 1).empty());
@@ -313,7 +320,8 @@ TEST(Mailbox, EncodeOwnedRowLeavesLocalSlotUntouched) {
   ASSERT_EQ(mb.slot(0, 0).size(), 1u);
   EXPECT_EQ(mb.slot(0, 0)[0].msg, 40);
   // The cross slot round-trips bit-exactly, post order preserved.
-  const auto decoded = decode_slot<int, Mailbox<int>::Envelope>(row[1]);
+  std::vector<Mailbox<int>::Envelope> decoded;
+  decode_slot<int>(row[1], decoded, [](const auto&) {});
   ASSERT_EQ(decoded.size(), 2u);
   EXPECT_EQ(decoded[0].from, 1);
   EXPECT_EQ(decoded[0].to, 7);

@@ -13,6 +13,7 @@
 // covered by scripts/run_local_cluster.sh and the tcp-2rank CI leg.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -171,6 +172,37 @@ TEST(Frame, OversizedLengthPrefixThrows) {
   const std::uint8_t bytes[] = {0xff, 0xff, 0xff, 0xff};  // ~4 GiB frame
   ASSERT_EQ(::send(fds.a, bytes, 4, 0), 4);
   EXPECT_THROW(read_frame(fds.b), WireError);
+  fds.close_remaining();
+}
+
+// A length prefix is the peer's claim, not a measurement: a rank that reads
+// one claiming 256 MiB and then hits EOF fails as a torn frame without
+// having allocated (and zero-filled) the claimed payload first.
+TEST(Frame, LengthPrefixAloneDoesNotAllocateThePayload) {
+  constexpr std::uint32_t kClaimed = 256u << 20;
+  constexpr long kMaxGrowthKiB = 64 << 10;
+  FdPair fds;
+  const std::uint8_t prefix[4] = {static_cast<std::uint8_t>(kClaimed),
+                                  static_cast<std::uint8_t>(kClaimed >> 8),
+                                  static_cast<std::uint8_t>(kClaimed >> 16),
+                                  static_cast<std::uint8_t>(kClaimed >> 24)};
+  ASSERT_EQ(::send(fds.a, prefix, 4, 0), 4);
+  ::close(fds.a);
+  fds.a = -1;
+  rusage before{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &before), 0);
+  WireBuf out;
+  try {
+    (void)try_read_frame(fds.b, out);
+    ADD_FAILURE() << "a 4-byte stream read as a whole frame";
+  } catch (const WireError& e) {
+    EXPECT_NE(std::string(e.what()).find("torn frame"), std::string::npos)
+        << e.what();
+  }
+  rusage after{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &after), 0);
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, kMaxGrowthKiB)
+      << "peak RSS grew by " << after.ru_maxrss - before.ru_maxrss << " KiB";
   fds.close_remaining();
 }
 
@@ -511,8 +543,13 @@ TEST(SocketTransport, ExchangeOwnedMovesOnlyOffDiagonalSlots) {
     // The local slot stays empty; the peer's slot carries its payload.
     EXPECT_TRUE(ex.slots[static_cast<std::size_t>(r)].empty());
     const int peer = 1 - r;
-    EXPECT_EQ(ex.slots[static_cast<std::size_t>(peer)],
+    const auto slot = ex.slots[static_cast<std::size_t>(peer)];
+    EXPECT_EQ(WireBuf(slot.begin(), slot.end()),
               (WireBuf{std::uint8_t(100 + peer), std::uint8_t(200 + peer)}));
+    // The caller's slot buffers come back for reuse, contents intact.
+    ASSERT_EQ(ex.sent.size(), 2u);
+    EXPECT_EQ(ex.sent[static_cast<std::size_t>(peer)],
+              (WireBuf{std::uint8_t(100 + r), std::uint8_t(200 + r)}));
     // The piggybacked tally rows reassemble the full S x S matrices
     // identically on both ranks.
     EXPECT_EQ(ex.slot_counts, (std::vector<std::int64_t>{1, 2, 11, 12}));
@@ -888,6 +925,314 @@ TEST(SocketTransport, PeerThatStopsReadingCannotHangACollective) {
   expect_stall_fails_naming_rank_1(
       fds.b, [&] { t0.all_gather_rows(std::move(slots)); });
   fds.close_remaining();
+}
+
+// --- the owned-frame decoder against a recorded 3-rank round -----------------
+//
+// One owner-routed round of a real 3-rank mesh is recorded off the wire: the
+// links into rank 0 run through taps that forward every frame unchanged and
+// keep a copy of what ranks 1 and 2 sent. The slots carry Luby-shaped
+// messages (a u8 join flag, a u64 priority — the codec mis/luby_sync.cpp
+// registers). Replaying recorded frames, verbatim or mutated, into a fresh
+// rank 0 exercises the receive path a live peer cannot be made to misbehave
+// on: the transport's frame checks, then Mailbox::fill's one-pass decode.
+
+using LubyShaped = std::pair<bool, std::uint64_t>;
+using LubyMailbox = Mailbox<LubyShaped>;
+constexpr int kRecWorld = 3;
+constexpr std::size_t kRecHeaderBytes = 20 + 16 * kRecWorld + 4;
+constexpr std::size_t kRecEnvelopeBytes = 8 + 9;
+
+// 9 vertices, rank r owns {3r, 3r + 1, 3r + 2}.
+VertexPartition recorded_partition() {
+  return VertexPartition::contiguous(3 * kRecWorld, kRecWorld);
+}
+
+// Rank r's envelopes for the recorded round: rank 1 sends rank 0 one
+// envelope (4 -> 2), rank 2 sends rank 0 two (6 -> 0, 8 -> 1) and rank 1
+// one, rank 0 sends one to each peer.
+void post_recorded_round(LubyMailbox& mb, int r) {
+  if (r == 0) {
+    mb.post(0, 0, 3, {false, 11});
+    mb.post(0, 1, 7, {true, 12});
+  } else if (r == 1) {
+    mb.post(1, 4, 2, {true, 0x0102030405060708u});
+  } else {
+    mb.post(2, 6, 0, {false, 5});
+    mb.post(2, 8, 1, {true, 9});
+    mb.post(2, 8, 5, {false, 7});
+  }
+}
+
+// Rank r's owned exchange of its mailbox row; returns the result with the
+// row's tallies taken from the mailbox, exactly as the engine ships them.
+Transport::OwnedExchange exchange_row(SocketTransport& t, LubyMailbox& mb,
+                                      int r) {
+  std::vector<std::int64_t> counts(kRecWorld);
+  std::vector<std::int64_t> bits(kRecWorld);
+  for (int d = 0; d < kRecWorld; ++d) {
+    counts[static_cast<std::size_t>(d)] = mb.slot_counts()[r * kRecWorld + d];
+    bits[static_cast<std::size_t>(d)] = mb.slot_bits()[r * kRecWorld + d];
+  }
+  return t.exchange_owned(mb.encode_owned_row(r), std::move(counts),
+                          std::move(bits));
+}
+
+// The frames ranks 1 and 2 sent rank 0 (payloads, without the length
+// prefix), recorded from a live round in which rank 0 also decoded them.
+struct RecordedRound {
+  WireBuf from1;
+  WireBuf from2;
+};
+
+RecordedRound record_owned_round() {
+  const VertexPartition part = recorded_partition();
+  // Rank 0's link to peer p is a socketpair whose far end is a tap; the tap
+  // relays one frame each way to a second socketpair that ends at rank p.
+  std::vector<std::vector<int>> fds(kRecWorld, std::vector<int>(kRecWorld, -1));
+  std::array<int, kRecWorld> tap_near{};  // the tap's end facing rank 0
+  std::array<int, kRecWorld> tap_far{};   // the tap's end facing rank p
+  for (int p = 1; p < kRecWorld; ++p) {
+    const FdPair near;
+    const FdPair far;
+    fds[0][static_cast<std::size_t>(p)] = near.a;
+    tap_near[static_cast<std::size_t>(p)] = near.b;
+    tap_far[static_cast<std::size_t>(p)] = far.a;
+    fds[static_cast<std::size_t>(p)][0] = far.b;
+  }
+  const FdPair direct;  // ranks 1 and 2 talk untapped
+  fds[1][2] = direct.a;
+  fds[2][1] = direct.b;
+  std::vector<std::unique_ptr<SocketTransport>> mesh;
+  for (int r = 0; r < kRecWorld; ++r) {
+    mesh.push_back(std::make_unique<SocketTransport>(
+        r, kRecWorld, std::move(fds[static_cast<std::size_t>(r)])));
+  }
+
+  RecordedRound rec;
+  std::vector<std::thread> taps;
+  for (int p = 1; p < kRecWorld; ++p) {
+    taps.emplace_back([&, p] {
+      const int near = tap_near[static_cast<std::size_t>(p)];
+      const int far = tap_far[static_cast<std::size_t>(p)];
+      // Both frames fit a socket buffer, so relaying one direction after
+      // the other cannot stall either rank. A rank that failed closes its
+      // end, which ends the relay.
+      try {
+        WireBuf up = read_frame(far);
+        write_frame(near, up);
+        write_frame(far, read_frame(near));
+        (p == 1 ? rec.from1 : rec.from2) = std::move(up);
+      } catch (const WireError& e) {
+        ADD_FAILURE() << "tap for rank " << p << ": " << e.what();
+      }
+    });
+  }
+  const auto stop = [&] {
+    mesh.clear();  // closes every rank's sockets
+    for (std::thread& t : taps) t.join();
+    for (int p = 1; p < kRecWorld; ++p) {
+      ::close(tap_near[static_cast<std::size_t>(p)]);
+      ::close(tap_far[static_cast<std::size_t>(p)]);
+    }
+  };
+  try {
+    run_ranks(kRecWorld, [&](int r) {
+      LubyMailbox mb(&part);
+      post_recorded_round(mb, r);
+      const auto result =
+          exchange_row(*mesh[static_cast<std::size_t>(r)], mb, r);
+      for (int s = 0; s < kRecWorld; ++s) {
+        if (s != r) mb.fill(s, r, result.slots[static_cast<std::size_t>(s)]);
+      }
+      if (r == 0) {
+        // The live round delivered what ranks 1 and 2 posted, in post order.
+        EXPECT_EQ(mb.slot(1, 0).size(), 1u);
+        ASSERT_EQ(mb.slot(2, 0).size(), 2u);
+        EXPECT_EQ(mb.slot(2, 0)[1].from, 8);
+        EXPECT_EQ(mb.slot(2, 0)[1].to, 1);
+        EXPECT_EQ(mb.slot(2, 0)[1].msg, (LubyShaped{true, 9}));
+      }
+    });
+  } catch (...) {
+    stop();
+    throw;
+  }
+  stop();
+  return rec;
+}
+
+// `payload` as it travels on the stream: its u32 length prefix, then the
+// payload itself.
+std::vector<std::uint8_t> framed(const WireBuf& payload) {
+  WireWriter w;
+  w.put_u32(static_cast<std::uint32_t>(payload.size()));
+  w.put_bytes(payload);
+  return w.take();
+}
+
+// Rank 0 of a fresh 3-rank world reads `stream1` as everything rank 1 sends
+// (rank 1 then hangs up if `hang_up`) and the frame `from2` from rank 2,
+// then fills `mb` from the slots it got, as the engine does. Returns the
+// WireError text, "" on success; `mb` is left as the fill left it.
+std::string replay_into_rank0(const std::vector<std::uint8_t>& stream1,
+                              bool hang_up, const WireBuf& from2,
+                              LubyMailbox& mb) {
+  FdPair p1;
+  FdPair p2;
+  SocketTransport t0(0, kRecWorld, std::vector<int>{-1, p1.a, p2.a});
+  p1.a = p2.a = -1;
+  if (!stream1.empty()) {
+    EXPECT_EQ(::send(p1.b, stream1.data(), stream1.size(), 0),
+              static_cast<ssize_t>(stream1.size()));
+  }
+  if (hang_up) {
+    ::close(p1.b);
+    p1.b = -1;
+  }
+  write_frame(p2.b, from2);
+  std::string error;
+  try {
+    const auto result = exchange_row(t0, mb, 0);
+    for (int s = 1; s < kRecWorld; ++s) {
+      mb.fill(s, 0, result.slots[static_cast<std::size_t>(s)]);
+    }
+  } catch (const WireError& e) {
+    error = e.what();
+  }
+  p1.close_remaining();
+  p2.close_remaining();
+  return error;
+}
+
+// `frame` with the u32 at `offset` replaced by `value`.
+WireBuf with_u32_at(WireBuf frame, std::size_t offset, std::uint32_t value) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    frame[offset + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+  return frame;
+}
+
+// The recorded frame rank 1 sent rank 0, byte for byte: it pins the owned
+// frame layout and, in its one-envelope Luby slot, the envelope field order
+// (to before from).
+TEST(SocketTransport, RecordedOwnedFrameIsByteExact) {
+  const RecordedRound rec = record_owned_round();
+  const WireBuf expect = {
+      0x0E, 0xDC, 0, 0,  // tag: owned exchange
+      1, 0, 0, 0,        // sender rank 1
+      0, 0, 0, 0,        // seq 0
+      0, 0, 0, 0,        // destination rank 0
+      3, 0, 0, 0,        // world 3
+      1, 0, 0, 0, 0, 0, 0, 0,   // rank 1's posted counts: 1 to rank 0,
+      0, 0, 0, 0, 0, 0, 0, 0,   //   none to itself,
+      0, 0, 0, 0, 0, 0, 0, 0,   //   none to rank 2
+      65, 0, 0, 0, 0, 0, 0, 0,  // posted bits: one 65-bit Luby message
+      0, 0, 0, 0, 0, 0, 0, 0,   //
+      0, 0, 0, 0, 0, 0, 0, 0,   //
+      21, 0, 0, 0,       // slot length
+      1, 0, 0, 0,        // slot: 1 envelope
+      2, 0, 0, 0,        //   to 2
+      4, 0, 0, 0,        //   from 4
+      1,                 //   join flag
+      8, 7, 6, 5, 4, 3, 2, 1,  // priority 0x0102030405060708
+  };
+  EXPECT_EQ(rec.from1, expect);
+  EXPECT_EQ(rec.from1.size(), kRecHeaderBytes + 4 + kRecEnvelopeBytes);
+  EXPECT_EQ(rec.from2.size(), kRecHeaderBytes + 4 + 2 * kRecEnvelopeBytes);
+}
+
+// Every proper prefix of a recorded frame is rejected, naming the peer:
+// cut inside the payload but framed whole, and cut on the stream followed
+// by a hang-up.
+TEST(SocketTransport, EveryProperPrefixOfAnOwnedFrameNamesThePeer) {
+  const RecordedRound rec = record_owned_round();
+  const VertexPartition part = recorded_partition();
+  const auto expect_named = [&](const std::vector<std::uint8_t>& stream1,
+                                bool hang_up, std::size_t cut) {
+    LubyMailbox mb(&part);
+    const std::string what = replay_into_rank0(stream1, hang_up, rec.from2, mb);
+    EXPECT_NE(what.find("rank 0: reading from rank 1"), std::string::npos)
+        << "cut at " << cut << (hang_up ? " of the stream" : " of the payload")
+        << ": '" << what << "'";
+    EXPECT_TRUE(mb.slot(1, 0).empty());
+  };
+  for (std::size_t cut = 0; cut < rec.from1.size(); ++cut) {
+    expect_named(framed(WireBuf(rec.from1.begin(),
+                                rec.from1.begin() +
+                                    static_cast<std::ptrdiff_t>(cut))),
+                 false, cut);
+  }
+  const std::vector<std::uint8_t> stream = framed(rec.from1);
+  for (std::size_t cut = 0; cut < stream.size(); ++cut) {
+    expect_named(std::vector<std::uint8_t>(
+                     stream.begin(), stream.begin() +
+                                         static_cast<std::ptrdiff_t>(cut)),
+                 true, cut);
+  }
+}
+
+// An envelope count the slot's bytes cannot hold (each envelope needs at
+// least its 8 addressing bytes) is rejected before the slot reserves a
+// single envelope; a count that passes that bound but overruns the bytes
+// still fails as a truncation.
+TEST(SocketTransport, OwnedSlotCountBeyondItsBytesIsRejectedBeforeAllocating) {
+  const RecordedRound rec = record_owned_round();
+  const VertexPartition part = recorded_partition();
+  const std::size_t slot_bytes = rec.from2.size() - kRecHeaderBytes;
+  const std::uint32_t fits = static_cast<std::uint32_t>((slot_bytes - 4) / 8);
+  for (std::uint32_t count : {fits + 1, 0xFFFFFFFFu, fits}) {
+    SCOPED_TRACE("count " + std::to_string(count));
+    LubyMailbox mb(&part);
+    const WireBuf bad = with_u32_at(rec.from2, kRecHeaderBytes, count);
+    const std::string what =
+        replay_into_rank0(framed(rec.from1), false, bad, mb);
+    EXPECT_NE(what.find("mailbox slot (2, 0)"), std::string::npos) << what;
+    EXPECT_TRUE(mb.slot(2, 0).empty());
+    if (count > fits) {
+      EXPECT_NE(what.find("exceeds"), std::string::npos) << what;
+      EXPECT_EQ(mb.slot(2, 0).capacity(), 0u);
+    } else {
+      EXPECT_NE(what.find("truncated"), std::string::npos) << what;
+    }
+    EXPECT_EQ(mb.slot_counts()[2 * kRecWorld + 0], 0);
+  }
+}
+
+// Rewriting any envelope's `to` or `from` to a vertex of the wrong shard is
+// a misaddressed envelope: the fill throws, and the slot stays empty,
+// untallied and unfilled — the genuine slot still fills afterwards.
+TEST(SocketTransport, MisaddressedEnvelopeInAnOwnedFrameLeavesTheSlotUnfilled) {
+  const RecordedRound rec = record_owned_round();
+  const VertexPartition part = recorded_partition();
+  const std::span<const std::uint8_t> genuine =
+      std::span<const std::uint8_t>(rec.from2).subspan(kRecHeaderBytes);
+  struct Field {
+    std::size_t offset;               // within an envelope
+    std::vector<std::uint32_t> wrong;  // vertices of a foreign shard
+  };
+  // `to` must be rank 0's (0..2); `from` must be rank 2's (6..8).
+  const Field fields[] = {{0, {3, 7}}, {4, {0, 4}}};
+  for (std::size_t env = 0; env < 2; ++env) {
+    for (const Field& field : fields) {
+      for (std::uint32_t v : field.wrong) {
+        SCOPED_TRACE("envelope " + std::to_string(env) + " field +" +
+                     std::to_string(field.offset) + " -> " + std::to_string(v));
+        const std::size_t at =
+            kRecHeaderBytes + 4 + env * kRecEnvelopeBytes + field.offset;
+        LubyMailbox mb(&part);
+        const std::string what = replay_into_rank0(
+            framed(rec.from1), false, with_u32_at(rec.from2, at, v), mb);
+        EXPECT_NE(what.find("mailbox slot (2, 0)"), std::string::npos) << what;
+        EXPECT_NE(what.find("misaddressed"), std::string::npos) << what;
+        EXPECT_TRUE(mb.slot(2, 0).empty());
+        EXPECT_EQ(mb.slot_counts()[2 * kRecWorld + 0], 0);
+        EXPECT_EQ(mb.slot_bits()[2 * kRecWorld + 0], 0);
+        EXPECT_NO_THROW(mb.fill(2, 0, genuine));
+        EXPECT_EQ(mb.slot(2, 0).size(), 2u);
+      }
+    }
+  }
 }
 
 // --- the headline differential ---------------------------------------------
